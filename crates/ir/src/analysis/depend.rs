@@ -399,9 +399,9 @@ impl Ival {
         Ival { lo: v, hi: v }
     }
 
-    fn scaled(coeff: i64, lo: i64, hi: i64) -> Ival {
-        let a = coeff as i128 * lo as i128;
-        let b = coeff as i128 * hi as i128;
+    fn scaled(coeff: i64, lo: impl Into<i128>, hi: impl Into<i128>) -> Ival {
+        let a = (coeff as i128).saturating_mul(lo.into());
+        let b = (coeff as i128).saturating_mul(hi.into());
         Ival {
             lo: a.min(b),
             hi: a.max(b),
@@ -532,11 +532,14 @@ fn dim_feasible(
     for (k, lv) in levels.iter().enumerate() {
         let a = f.coeff(&lv.var);
         let b = g.coeff(&lv.var);
-        let (lo, hi) = (lv.lo, lv.hi);
+        // Index arithmetic in i128: a level spanning most of the i64 range
+        // has up to 2^64 iterations, and a guard may pin an index to
+        // either end of it.
+        let (lo, hi) = (i128::from(lv.lo), i128::from(lv.hi));
         let trip = hi - lo + 1;
 
-        let pa = pins_a.get(&lv.var).copied();
-        let pb = pins_b.get(&lv.var).copied();
+        let pa = pins_a.get(&lv.var).map(|&v| i128::from(v));
+        let pb = pins_b.get(&lv.var).map(|&v| i128::from(v));
         if pa.is_some() || pb.is_some() {
             // Guard-aware path: each side's index ranges over a point (if
             // pinned) or the whole level, constrained by the direction.
@@ -919,6 +922,24 @@ mod tests {
         );
         assert!(d.carried_at(1), "{d:?}");
         assert!(!d.carried_at(0), "{d:?}");
+    }
+
+    #[test]
+    fn full_range_levels_and_end_pins_do_not_overflow() {
+        // `hi - lo` is 2^64 - 2 and the guard pins `j` to `i64::MAX`, so
+        // `la + 1` and the Lt/Gt distance ranges leave i64.
+        let d = deps_of(
+            "
+            array D[2];
+            doall j = -9223372036854775807..9223372036854775807 {
+                if j == 9223372036854775807 {
+                    D[1] = 0;
+                }
+                D[2] = D[1];
+            }
+            ",
+        );
+        assert!(d.carried_at(0), "{d:?}");
     }
 
     #[test]

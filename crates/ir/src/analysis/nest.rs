@@ -39,15 +39,11 @@ impl LoopHeader {
     /// Constant trip count if bounds and step are literals (see
     /// [`Loop::const_trip_count`]).
     pub fn const_trip_count(&self) -> Option<u64> {
-        Loop {
-            var: self.var.clone(),
-            lower: self.lower.clone(),
-            upper: self.upper.clone(),
-            step: self.step.clone(),
-            kind: self.kind,
-            body: vec![],
-        }
-        .const_trip_count()
+        crate::walk::trip_count(
+            self.lower.as_const()?,
+            self.upper.as_const()?,
+            self.step.as_const()?,
+        )
     }
 
     /// True when bounds are `1..=N` with unit step, `N` constant.

@@ -14,6 +14,10 @@
 //! * [`analysis`] — perfect-nest extraction, trip-count/normalization
 //!   checks, affine subscript extraction, and GCD + Banerjee dependence
 //!   testing with direction vectors (DOALL legality).
+//! * [`walk`] — the one statement walker (what each statement evaluates
+//!   and binds, with loop-index scoping), the definite-assignment scan,
+//!   the constant evaluator and the `i128` trip count that every
+//!   analysis above and in the downstream crates shares.
 //!
 //! The IR is deliberately integer-only: the transformation and its legality
 //! conditions are about index arithmetic and memory disambiguation, not
@@ -53,6 +57,7 @@ pub mod printer;
 pub mod program;
 pub mod stmt;
 pub mod symbol;
+pub mod walk;
 
 pub use build::{ExprBuilder, RecoveryCost};
 pub use error::{BoundPart, Error, Result, SkipReason};

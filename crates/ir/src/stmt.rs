@@ -92,22 +92,17 @@ impl Loop {
             && self.upper.as_const().is_some()
     }
 
-    /// Constant trip count if bounds and step are literals.
+    /// Constant trip count if bounds and step are literals (see
+    /// [`crate::walk::trip_count`]).
     ///
-    /// Returns `None` for symbolic bounds or zero step. A negative-trip
-    /// (empty) loop reports `Some(0)`.
+    /// Returns `None` for symbolic bounds, a zero step, or a count past
+    /// `u64::MAX`. A negative-trip (empty) loop reports `Some(0)`.
     pub fn const_trip_count(&self) -> Option<u64> {
-        let lo = self.lower.as_const()?;
-        let hi = self.upper.as_const()?;
-        let st = self.step.as_const()?;
-        if st == 0 {
-            return None;
-        }
-        let span = if st > 0 { hi - lo } else { lo - hi };
-        if span < 0 {
-            return Some(0);
-        }
-        Some((span / st.abs()) as u64 + 1)
+        crate::walk::trip_count(
+            self.lower.as_const()?,
+            self.upper.as_const()?,
+            self.step.as_const()?,
+        )
     }
 }
 

@@ -44,7 +44,8 @@ use lc_ir::analysis::affine::Affine;
 use lc_ir::analysis::depend::{analyze_nest, format_direction, NestDeps};
 use lc_ir::analysis::nest::{extract_nest, LoopHeader, Nest};
 use lc_ir::printer::print_expr;
-use lc_ir::{Cond, Expr, Loop, Program, Stmt, Symbol};
+use lc_ir::walk::{eval_const, reads, subscripts, trip_count, undefined_reads, walk, Binds};
+use lc_ir::{ArrayRef, Expr, Loop, Program, Stmt, Symbol};
 
 /// Stable identifier of one check in the registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -288,7 +289,8 @@ struct SubNest {
 pub struct NestLinter<'a> {
     nest_index: usize,
     env: &'a ConstEnv,
-    root: Loop,
+    /// The linted loop, as a statement so the walker can start at it.
+    root: Stmt,
     root_ordinal: usize,
     subnests: Vec<SubNest>,
     /// Memo: `None` = not yet computed; `Some(None)` = analysis failed.
@@ -311,13 +313,13 @@ impl<'a> NestLinter<'a> {
         counter: &mut usize,
     ) -> NestLinter<'a> {
         let root_ordinal = *counter;
-        let mut subnests = Vec::new();
-        collect_subnests(l, counter, &mut subnests);
+        let root = Stmt::Loop(l.clone());
+        let subnests = collect_subnests(&root, counter);
         let n = subnests.len();
         NestLinter {
             nest_index,
             env,
-            root: l.clone(),
+            root,
             root_ordinal,
             subnests,
             deps: vec![None; n],
@@ -437,7 +439,7 @@ impl<'a> NestLinter<'a> {
             let mut product: u128 = 1;
             let mut trips = Vec::new();
             for h in &sn.nest.loops {
-                match trip_count(h, self.env) {
+                match folded_trip_count(h, self.env) {
                     Some(t) => {
                         product = product.saturating_mul(t as u128);
                         trips.push(t.to_string());
@@ -478,9 +480,9 @@ impl<'a> NestLinter<'a> {
     fn lc003(&mut self, severity: Severity) -> Vec<Finding> {
         let mut out = Vec::new();
         let nest_index = self.nest_index;
-        let mut counter = self.root_ordinal;
-        walk_refs(&self.root, &mut counter, &mut |ordinal, array, dim, ix| {
+        let mut report = |ordinal: usize, r: &ArrayRef, dim: usize, ix: &Expr| {
             if Affine::from_expr(ix).is_none() {
+                let array = &r.array;
                 out.push(Finding {
                     code: LintCode::NonAffineSubscript,
                     severity,
@@ -501,6 +503,30 @@ impl<'a> NestLinter<'a> {
                     ordinal: Some(ordinal),
                 });
             }
+        };
+        // Findings point at the innermost loop header around the
+        // reference (a loop's own header for its bounds), numbered in
+        // pre-order like `collect_subnests`.
+        let mut ordinals: Vec<usize> = Vec::new();
+        let mut counter = self.root_ordinal;
+        walk(std::slice::from_ref(&self.root), &mut |v| {
+            ordinals.truncate(v.scope.len());
+            if let Stmt::Loop(_) = v.stmt {
+                ordinals.push(counter);
+                counter += 1;
+            }
+            let ordinal = *ordinals.last().expect("the walk starts at a loop");
+            let target = match v.binds() {
+                Some(Binds::Element(t)) => Some(t),
+                _ => None,
+            };
+            for (k, e) in v.exprs().into_iter().enumerate() {
+                // An element write's first expressions are its subscripts.
+                if let Some(t) = target.filter(|t| k < t.indices.len()) {
+                    report(ordinal, t, k, e);
+                }
+                subscripts(e, &mut |r, dim, ix| report(ordinal, r, dim, ix));
+            }
         });
         out
     }
@@ -516,7 +542,7 @@ impl<'a> NestLinter<'a> {
                 h.upper.variables(&mut used);
                 h.step.variables(&mut used);
             }
-            stmt_variables(&sn.nest.body, &mut used);
+            walk(&sn.nest.body, &mut |v| used.extend(v.reads()));
             let used: BTreeSet<Symbol> = used.into_iter().collect();
             for (k, h) in sn.nest.loops.iter().enumerate() {
                 if used.contains(&h.var) {
@@ -551,16 +577,22 @@ impl<'a> NestLinter<'a> {
             if !sn.nest.loops.iter().any(|h| h.kind.is_doall()) {
                 continue;
             }
-            let loop_vars: BTreeSet<Symbol> = sn.nest.loops.iter().map(|h| h.var.clone()).collect();
+            let mut defined: BTreeSet<Symbol> =
+                sn.nest.loops.iter().map(|h| h.var.clone()).collect();
             // A scalar never written inside the nest is loop-invariant:
             // reading it is harmless. Only scalars the body also assigns
             // can carry a value across iterations.
-            let mut written = BTreeSet::new();
-            scalars_assigned(&sn.nest.body, &mut written);
-            let mut assigned = BTreeSet::new();
+            let written = scalars_assigned(&sn.nest.body);
+            // `(var, is_reduction_idiom)` per read that may see another
+            // iteration's value.
             let mut hits = Vec::new();
-            scan_scalars(&sn.nest.body, &mut assigned, &loop_vars, &mut hits);
-            hits.retain(|(v, _)| written.contains(v));
+            undefined_reads(&sn.nest.body, &mut defined, &mut |var, stmt| {
+                if written.contains(var) {
+                    let reduction =
+                        matches!(stmt, Stmt::AssignScalar { var: target, .. } if target == var);
+                    hits.push((var.clone(), reduction));
+                }
+            });
             for (var, is_reduction) in hits {
                 if !seen.insert(var.clone()) {
                     continue; // already reported at an outer (sub)nest
@@ -620,283 +652,47 @@ fn suggested_band(deps: &NestDeps) -> String {
     format!("levels [{start}, {end})")
 }
 
-fn collect_subnests(l: &Loop, counter: &mut usize, out: &mut Vec<SubNest>) {
-    let nest = extract_nest(l);
-    let level_ordinals: Vec<usize> = (0..nest.depth())
-        .map(|_| {
-            let o = *counter;
-            *counter += 1;
-            o
-        })
-        .collect();
-    let body = nest.body.clone();
-    out.push(SubNest {
-        nest,
-        level_ordinals,
+/// Every perfect (sub)nest under the loop statement `root`, in
+/// pre-order, numbering loop headers from `counter` (which ends past the
+/// last header). A loop that is the whole body of its parent continues
+/// the parent's nest; any other loop starts a new one.
+fn collect_subnests(root: &Stmt, counter: &mut usize) -> Vec<SubNest> {
+    let mut out = Vec::new();
+    walk(std::slice::from_ref(root), &mut |v| {
+        let Stmt::Loop(l) = v.stmt else { return };
+        let ordinal = *counter;
+        *counter += 1;
+        let continues_parent = v
+            .scope
+            .last()
+            .is_some_and(|p| matches!(p.body.as_slice(), [only] if std::ptr::eq(only, v.stmt)));
+        if !continues_parent {
+            let nest = extract_nest(l);
+            let level_ordinals = (ordinal..ordinal + nest.depth()).collect();
+            out.push(SubNest {
+                nest,
+                level_ordinals,
+            });
+        }
     });
-    subnests_in_stmts(&body, counter, out);
-}
-
-fn subnests_in_stmts(stmts: &[Stmt], counter: &mut usize, out: &mut Vec<SubNest>) {
-    for s in stmts {
-        match s {
-            Stmt::Loop(l) => collect_subnests(l, counter, out),
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                subnests_in_stmts(then_body, counter, out);
-                subnests_in_stmts(else_body, counter, out);
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Walk every array reference (reads and the write target) under `l` in
-/// pre-order, reporting `(innermost loop ordinal, array, dim, subscript)`
-/// per subscript expression. The ordinal numbering matches
-/// [`collect_subnests`], so findings point at the right header.
-fn walk_refs(l: &Loop, counter: &mut usize, f: &mut impl FnMut(usize, &Symbol, usize, &Expr)) {
-    let ordinal = *counter;
-    *counter += 1;
-    expr_refs(&l.lower, ordinal, f);
-    expr_refs(&l.upper, ordinal, f);
-    expr_refs(&l.step, ordinal, f);
-    stmt_refs(&l.body, ordinal, counter, f);
-}
-
-fn stmt_refs(
-    stmts: &[Stmt],
-    ordinal: usize,
-    counter: &mut usize,
-    f: &mut impl FnMut(usize, &Symbol, usize, &Expr),
-) {
-    for s in stmts {
-        match s {
-            Stmt::AssignScalar { value, .. } => expr_refs(value, ordinal, f),
-            Stmt::AssignArray { target, value } => {
-                for (dim, ix) in target.indices.iter().enumerate() {
-                    f(ordinal, &target.array, dim, ix);
-                    expr_refs(ix, ordinal, f);
-                }
-                expr_refs(value, ordinal, f);
-            }
-            Stmt::Loop(l) => walk_refs(l, counter, f),
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                cond_refs(cond, ordinal, f);
-                stmt_refs(then_body, ordinal, counter, f);
-                stmt_refs(else_body, ordinal, counter, f);
-            }
-        }
-    }
-}
-
-fn expr_refs(e: &Expr, ordinal: usize, f: &mut impl FnMut(usize, &Symbol, usize, &Expr)) {
-    match e {
-        Expr::Const(_) | Expr::Var(_) => {}
-        Expr::Read(r) => {
-            for (dim, ix) in r.indices.iter().enumerate() {
-                f(ordinal, &r.array, dim, ix);
-                expr_refs(ix, ordinal, f);
-            }
-        }
-        Expr::Unary(_, a) => expr_refs(a, ordinal, f),
-        Expr::Binary(_, a, b) => {
-            expr_refs(a, ordinal, f);
-            expr_refs(b, ordinal, f);
-        }
-    }
-}
-
-fn cond_refs(c: &Cond, ordinal: usize, f: &mut impl FnMut(usize, &Symbol, usize, &Expr)) {
-    match c {
-        Cond::Cmp(_, a, b) => {
-            expr_refs(a, ordinal, f);
-            expr_refs(b, ordinal, f);
-        }
-        Cond::Not(x) => cond_refs(x, ordinal, f),
-        Cond::And(a, b) | Cond::Or(a, b) => {
-            cond_refs(a, ordinal, f);
-            cond_refs(b, ordinal, f);
-        }
-    }
-}
-
-/// Collect every variable mentioned anywhere in `stmts` (bounds, bodies,
-/// conditions, subscripts).
-fn stmt_variables(stmts: &[Stmt], out: &mut Vec<Symbol>) {
-    for s in stmts {
-        match s {
-            Stmt::AssignScalar { value, .. } => value.variables(out),
-            Stmt::AssignArray { target, value } => {
-                for ix in &target.indices {
-                    ix.variables(out);
-                }
-                value.variables(out);
-            }
-            Stmt::Loop(l) => {
-                l.lower.variables(out);
-                l.upper.variables(out);
-                l.step.variables(out);
-                stmt_variables(&l.body, out);
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                cond.variables(out);
-                stmt_variables(then_body, out);
-                stmt_variables(else_body, out);
-            }
-        }
-    }
-}
-
-/// Every scalar assigned anywhere in `stmts` (any branch, any depth).
-fn scalars_assigned(stmts: &[Stmt], out: &mut BTreeSet<Symbol>) {
-    for s in stmts {
-        match s {
-            Stmt::AssignScalar { var, .. } => {
-                out.insert(var.clone());
-            }
-            Stmt::AssignArray { .. } => {}
-            Stmt::Loop(l) => scalars_assigned(&l.body, out),
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                scalars_assigned(then_body, out);
-                scalars_assigned(else_body, out);
-            }
-        }
-    }
-}
-
-/// In-execution-order read-before-definite-assignment scan for scalars.
-/// `hits` receives `(var, is_reduction_idiom)` per offending read.
-fn scan_scalars(
-    stmts: &[Stmt],
-    assigned: &mut BTreeSet<Symbol>,
-    loop_vars: &BTreeSet<Symbol>,
-    hits: &mut Vec<(Symbol, bool)>,
-) {
-    for s in stmts {
-        match s {
-            Stmt::AssignScalar { var, value } => {
-                let mut reads = Vec::new();
-                value.variables(&mut reads);
-                for v in reads {
-                    if !assigned.contains(&v) && !loop_vars.contains(&v) {
-                        hits.push((v.clone(), v == *var));
-                    }
-                }
-                assigned.insert(var.clone());
-            }
-            Stmt::AssignArray { target, value } => {
-                let mut reads = Vec::new();
-                for ix in &target.indices {
-                    ix.variables(&mut reads);
-                }
-                value.variables(&mut reads);
-                for v in reads {
-                    if !assigned.contains(&v) && !loop_vars.contains(&v) {
-                        hits.push((v, false));
-                    }
-                }
-            }
-            Stmt::Loop(l) => {
-                let mut reads = Vec::new();
-                l.lower.variables(&mut reads);
-                l.upper.variables(&mut reads);
-                l.step.variables(&mut reads);
-                for v in reads {
-                    if !assigned.contains(&v) && !loop_vars.contains(&v) {
-                        hits.push((v, false));
-                    }
-                }
-                let mut inner_vars = loop_vars.clone();
-                inner_vars.insert(l.var.clone());
-                // The body may run zero times: its assignments are not
-                // definite afterwards, so scan with a throwaway set.
-                let mut inner_assigned = assigned.clone();
-                scan_scalars(&l.body, &mut inner_assigned, &inner_vars, hits);
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                let mut reads = Vec::new();
-                cond.variables(&mut reads);
-                for v in reads {
-                    if !assigned.contains(&v) && !loop_vars.contains(&v) {
-                        hits.push((v, false));
-                    }
-                }
-                let mut t = assigned.clone();
-                scan_scalars(then_body, &mut t, loop_vars, hits);
-                let mut e = assigned.clone();
-                scan_scalars(else_body, &mut e, loop_vars, hits);
-                // Definite only on both paths.
-                *assigned = t.intersection(&e).cloned().collect();
-            }
-        }
-    }
-}
-
-/// Fold an expression to a constant under `env`. Division and modulus
-/// are deliberately not folded (their rounding conventions belong to the
-/// interpreter); `None` means "unknown", which LC002 treats as 1 so only
-/// provable overflows fire.
-fn eval_const(e: &Expr, env: &ConstEnv) -> Option<i64> {
-    use lc_ir::{BinOp, UnOp};
-    match e {
-        Expr::Const(v) => Some(*v),
-        Expr::Var(s) => env.get(s).copied(),
-        Expr::Read(_) => None,
-        Expr::Unary(UnOp::Neg, a) => eval_const(a, env)?.checked_neg(),
-        Expr::Binary(op, a, b) => {
-            let (a, b) = (eval_const(a, env)?, eval_const(b, env)?);
-            match op {
-                BinOp::Add => a.checked_add(b),
-                BinOp::Sub => a.checked_sub(b),
-                BinOp::Mul => a.checked_mul(b),
-                BinOp::Min => Some(a.min(b)),
-                BinOp::Max => Some(a.max(b)),
-                BinOp::Div | BinOp::Mod | BinOp::CeilDiv => None,
-            }
-        }
-    }
+    out
 }
 
 /// Trip count of a header whose bounds fold to constants under `env`.
-fn trip_count(h: &LoopHeader, env: &ConstEnv) -> Option<u64> {
-    let lo = eval_const(&h.lower, env)? as i128;
-    let hi = eval_const(&h.upper, env)? as i128;
-    let st = eval_const(&h.step, env)? as i128;
-    if st == 0 {
-        return None;
-    }
-    let trips = if st > 0 {
-        if hi < lo {
-            0
-        } else {
-            (hi - lo) / st + 1
+fn folded_trip_count(h: &LoopHeader, env: &ConstEnv) -> Option<u64> {
+    let bound = |e| eval_const(e, env);
+    trip_count(bound(&h.lower)?, bound(&h.upper)?, bound(&h.step)?)
+}
+
+/// Every scalar assigned anywhere in `stmts` (any branch, any depth).
+fn scalars_assigned(stmts: &[Stmt]) -> BTreeSet<Symbol> {
+    let mut out = BTreeSet::new();
+    walk(stmts, &mut |v| {
+        if let Some(Binds::Scalar(var)) = v.binds() {
+            out.insert(var.clone());
         }
-    } else if lo < hi {
-        0
-    } else {
-        (lo - hi) / (-st) + 1
-    };
-    u64::try_from(trips).ok()
+    });
+    out
 }
 
 /// Lint a whole program: walk top-level statements in order, building
@@ -934,9 +730,7 @@ pub fn absorb_stmt(env: &mut ConstEnv, s: &Stmt) {
         },
         Stmt::AssignArray { .. } => {}
         Stmt::Loop(_) | Stmt::If { .. } => {
-            let mut assigned = BTreeSet::new();
-            scalars_assigned(std::slice::from_ref(s), &mut assigned);
-            for var in assigned {
+            for var in scalars_assigned(std::slice::from_ref(s)) {
                 env.remove(&var);
             }
         }
@@ -1049,53 +843,52 @@ pub fn certifies_order_independent(prog: &Program) -> bool {
         return false;
     }
     let mut poisoned = BTreeSet::new();
-    scan_escapes(&prog.body, &mut poisoned, true)
+    scan_escapes(&prog.body, &mut poisoned)
 }
 
 /// Walk `stmts` keeping the set of scalars whose value is
 /// order-dependent (assigned under a completed `doall`); any read of
-/// such a scalar fails the certificate. `definite` is true only for
-/// statement lists that are guaranteed to execute exactly once, where a
-/// reassignment un-poisons a scalar.
-fn scan_escapes(stmts: &[Stmt], poisoned: &mut BTreeSet<Symbol>, definite: bool) -> bool {
+/// such a scalar fails the certificate. An assignment un-poisons its
+/// scalar for the rest of its statement list.
+///
+/// Each list is scanned once on behalf of every pass through it. A loop
+/// body therefore starts from what was poisoned before the loop plus
+/// what the body's own `doall`s leave behind for the next iteration —
+/// the most any iteration can start with, since the scan only adds what
+/// those `doall`s assign.
+fn scan_escapes(stmts: &[Stmt], poisoned: &mut BTreeSet<Symbol>) -> bool {
     for s in stmts {
-        if reads_any_of(s, poisoned) {
+        if reads(s).iter().any(|r| poisoned.contains(r)) {
             return false;
         }
         match s {
             Stmt::AssignScalar { var, .. } => {
-                if definite {
-                    poisoned.remove(var);
-                }
+                poisoned.remove(var);
             }
             Stmt::AssignArray { .. } => {}
             Stmt::Loop(l) => {
                 let mut inner = poisoned.clone();
-                if !scan_escapes(&l.body, &mut inner, false) {
+                inner.extend(doall_assigned_scalars(&l.body));
+                // The index shadows any scalar of its name in the body.
+                inner.remove(&l.var);
+                if !scan_escapes(&l.body, &mut inner) {
                     return false;
                 }
                 // After the loop completes, every scalar assigned under a
                 // doall within it is order-dependent.
-                let mut w = BTreeSet::new();
-                doall_assigned_scalars(std::slice::from_ref(s), false, &mut w);
-                poisoned.extend(w);
+                poisoned.extend(doall_assigned_scalars(std::slice::from_ref(s)));
             }
             Stmt::If {
                 then_body,
                 else_body,
                 ..
             } => {
-                let mut t = poisoned.clone();
-                if !scan_escapes(then_body, &mut t, false) {
-                    return false;
+                for branch in [then_body, else_body] {
+                    if !scan_escapes(branch, &mut poisoned.clone()) {
+                        return false;
+                    }
                 }
-                let mut e = poisoned.clone();
-                if !scan_escapes(else_body, &mut e, false) {
-                    return false;
-                }
-                let mut w = BTreeSet::new();
-                doall_assigned_scalars(std::slice::from_ref(s), false, &mut w);
-                poisoned.extend(w);
+                poisoned.extend(doall_assigned_scalars(std::slice::from_ref(s)));
             }
         }
     }
@@ -1104,86 +897,16 @@ fn scan_escapes(stmts: &[Stmt], poisoned: &mut BTreeSet<Symbol>, definite: bool)
 
 /// Scalars assigned anywhere in `stmts` with at least one enclosing
 /// `doall` loop inside this subtree.
-fn doall_assigned_scalars(stmts: &[Stmt], under_doall: bool, out: &mut BTreeSet<Symbol>) {
-    for s in stmts {
-        match s {
-            Stmt::AssignScalar { var, .. } => {
-                if under_doall {
-                    out.insert(var.clone());
-                }
-            }
-            Stmt::AssignArray { .. } => {}
-            Stmt::Loop(l) => doall_assigned_scalars(&l.body, under_doall || l.kind.is_doall(), out),
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                doall_assigned_scalars(then_body, under_doall, out);
-                doall_assigned_scalars(else_body, under_doall, out);
+fn doall_assigned_scalars(stmts: &[Stmt]) -> BTreeSet<Symbol> {
+    let mut out = BTreeSet::new();
+    walk(stmts, &mut |v| {
+        if let Some(Binds::Scalar(var)) = v.binds() {
+            if v.scope.iter().any(|l| l.kind.is_doall()) {
+                out.insert(var.clone());
             }
         }
-    }
-}
-
-/// True when any variable read anywhere in `s` (bounds, conditions,
-/// subscripts, values) is in `set`. Scope-aware: a loop variable
-/// shadows an outer scalar of the same name only within that loop's
-/// body.
-fn reads_any_of(s: &Stmt, set: &BTreeSet<Symbol>) -> bool {
-    if set.is_empty() {
-        return false;
-    }
-    let mut bound = BTreeSet::new();
-    stmt_reads_of(s, set, &mut bound)
-}
-
-fn expr_reads_of(e: &Expr, set: &BTreeSet<Symbol>, bound: &BTreeSet<Symbol>) -> bool {
-    let mut vars = Vec::new();
-    e.variables(&mut vars);
-    vars.iter().any(|v| set.contains(v) && !bound.contains(v))
-}
-
-fn cond_reads_of(c: &Cond, set: &BTreeSet<Symbol>, bound: &BTreeSet<Symbol>) -> bool {
-    let mut vars = Vec::new();
-    c.variables(&mut vars);
-    vars.iter().any(|v| set.contains(v) && !bound.contains(v))
-}
-
-fn stmt_reads_of(s: &Stmt, set: &BTreeSet<Symbol>, bound: &mut BTreeSet<Symbol>) -> bool {
-    match s {
-        Stmt::AssignScalar { value, .. } => expr_reads_of(value, set, bound),
-        Stmt::AssignArray { target, value } => {
-            target
-                .indices
-                .iter()
-                .any(|ix| expr_reads_of(ix, set, bound))
-                || expr_reads_of(value, set, bound)
-        }
-        Stmt::Loop(l) => {
-            if expr_reads_of(&l.lower, set, bound)
-                || expr_reads_of(&l.upper, set, bound)
-                || expr_reads_of(&l.step, set, bound)
-            {
-                return true;
-            }
-            let fresh = bound.insert(l.var.clone());
-            let hit = l.body.iter().any(|b| stmt_reads_of(b, set, bound));
-            if fresh {
-                bound.remove(&l.var);
-            }
-            hit
-        }
-        Stmt::If {
-            cond,
-            then_body,
-            else_body,
-        } => {
-            cond_reads_of(cond, set, bound)
-                || then_body.iter().any(|b| stmt_reads_of(b, set, bound))
-                || else_body.iter().any(|b| stmt_reads_of(b, set, bound))
-        }
-    }
+    });
+    out
 }
 
 #[cfg(test)]
@@ -1585,6 +1308,86 @@ mod tests {
         )
         .unwrap();
         assert!(certifies_order_independent(&p));
+    }
+
+    /// The certificate's verdict, checked against the interpreter: a
+    /// certified program must give the same store in both doall orders.
+    fn certified_and_sound(src: &str) -> bool {
+        use lc_ir::interp::{DoallOrder, Interp};
+        let p = parse_program(src).unwrap();
+        let certified = certifies_order_independent(&p);
+        if certified {
+            let run = |order| Interp::new().with_order(order).run(&p).unwrap();
+            assert_eq!(run(DoallOrder::Forward), run(DoallOrder::Reverse), "{src}");
+        }
+        certified
+    }
+
+    #[test]
+    fn certify_rejects_doall_scalar_read_in_the_next_serial_iteration() {
+        // The read comes before the doall in the body, so only the next
+        // iteration of `t` sees the doall's last-writer value.
+        assert!(!certified_and_sound(
+            "
+            array A[8];
+            array B[8];
+            s = 0;
+            for t = 1..3 {
+                doall i = 1..8 {
+                    A[i] = s;
+                }
+                doall j = 1..8 {
+                    s = j;
+                }
+                B[t] = 0;
+            }
+            ",
+        ));
+    }
+
+    #[test]
+    fn certify_allows_private_temp_in_a_doall_inside_a_serial_loop() {
+        assert!(certified_and_sound(
+            "
+            array A[8][8];
+            for t = 1..8 {
+                doall i = 1..8 {
+                    s = i + t;
+                    A[t][i] = s;
+                }
+            }
+            ",
+        ));
+    }
+
+    #[test]
+    fn certify_reassignment_in_a_branch_only_clears_that_branch() {
+        let read_in_branch = "
+            array A[8];
+            array B[2];
+            doall i = 1..8 {
+                s = i;
+                A[i] = s;
+            }
+            if (A[1] == 1) {
+                s = 7;
+                B[1] = s;
+            }
+        ";
+        assert!(certified_and_sound(read_in_branch));
+        let read_after_branch = "
+            array A[8];
+            array B[2];
+            doall i = 1..8 {
+                s = i;
+                A[i] = s;
+            }
+            if (A[1] == 1) {
+                s = 7;
+            }
+            B[1] = s;
+        ";
+        assert!(!certified_and_sound(read_after_branch));
     }
 
     #[test]

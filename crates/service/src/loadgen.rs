@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use lc_driver::json::Json;
 
 use crate::client;
-use crate::sync::{into_inner_recovering, lock_recovering};
+use lc_driver::sync::{into_inner_recovering, lock_recovering};
 
 /// Which endpoint the generator drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

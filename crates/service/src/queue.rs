@@ -11,7 +11,7 @@
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
-use crate::sync::{lock_recovering, wait_recovering};
+use lc_driver::sync::{lock_recovering, wait_recovering};
 
 /// Why a `try_push` was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -54,14 +54,15 @@
 //!    (privatizable): the body never reads it before writing it. Scalar
 //!    reductions (`s = s + …`) are rejected.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 use lc_ir::analysis::depend::{analyze_nest, NestDeps};
 use lc_ir::analysis::nest::{extract_nest, LoopHeader, Nest};
 use lc_ir::build::ExprBuilder;
-use lc_ir::expr::{Cond, Expr};
+use lc_ir::expr::Expr;
 use lc_ir::stmt::{Loop, LoopKind, Stmt};
 use lc_ir::symbol::Symbol;
+use lc_ir::walk::{undefined_reads, walk, Binds};
 use lc_ir::{Error, Result, SkipReason};
 
 use crate::normalize::normalize_nest;
@@ -498,11 +499,14 @@ pub fn precheck_band(nest: &Nest, deps: Option<&NestDeps>, opts: &CoalesceOption
     // mention a variable assigned inside the nest or any nest index.
     // (Constant bounds mention no variables; the scan is skipped.)
     if band.iter().any(|h| h.upper.as_const().is_none()) {
-        let mut assigned = Vec::new();
-        collect_assigned(&nest.body, &mut assigned);
-        for h in &nest.loops {
-            assigned.push(h.var.clone());
-        }
+        // Everything assigned in the nest: scalar targets, inner loop
+        // indices and the nest's own indices.
+        let mut assigned: Vec<Symbol> = nest.loops.iter().map(|h| h.var.clone()).collect();
+        walk(&nest.body, &mut |v| {
+            if let Some(Binds::Scalar(var) | Binds::LoopVar(var)) = v.binds() {
+                assigned.push(var.clone());
+            }
+        });
         for h in band {
             let mut vars = Vec::new();
             h.upper.variables(&mut vars);
@@ -557,7 +561,7 @@ fn check_band_legality(
             }));
         }
     }
-    scalar_privatization_ok(nest, start, end)
+    scalar_privatization_ok(nest, end)
 }
 
 /// Rebuild one preserved nest level around `body`.
@@ -595,6 +599,8 @@ fn fresh_from(used: &HashSet<String>, base: &str) -> Symbol {
     }
 }
 
+/// Every name the nest mentions: indices, variables read anywhere,
+/// assigned scalars and written arrays. A fresh name must avoid them all.
 fn used_symbols(nest: &Nest) -> HashSet<String> {
     let mut syms: Vec<Symbol> = Vec::new();
     for h in &nest.loops {
@@ -603,178 +609,52 @@ fn used_symbols(nest: &Nest) -> HashSet<String> {
         h.upper.variables(&mut syms);
         h.step.variables(&mut syms);
     }
-    collect_stmt_symbols(&nest.body, &mut syms);
+    walk(&nest.body, &mut |v| {
+        match v.binds() {
+            Some(Binds::Scalar(var) | Binds::LoopVar(var)) => syms.push(var.clone()),
+            Some(Binds::Element(target)) => syms.push(target.array.clone()),
+            None => {}
+        }
+        syms.extend(v.reads());
+    });
     syms.into_iter().map(|s| s.as_str().to_string()).collect()
-}
-
-fn collect_stmt_symbols(stmts: &[Stmt], out: &mut Vec<Symbol>) {
-    for s in stmts {
-        match s {
-            Stmt::AssignScalar { var, value } => {
-                out.push(var.clone());
-                value.variables(out);
-            }
-            Stmt::AssignArray { target, value } => {
-                out.push(target.array.clone());
-                for ix in &target.indices {
-                    ix.variables(out);
-                }
-                value.variables(out);
-            }
-            Stmt::Loop(l) => {
-                out.push(l.var.clone());
-                l.lower.variables(out);
-                l.upper.variables(out);
-                l.step.variables(out);
-                collect_stmt_symbols(&l.body, out);
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                cond.variables(out);
-                collect_stmt_symbols(then_body, out);
-                collect_stmt_symbols(else_body, out);
-            }
-        }
-    }
-}
-
-/// Everything *assigned* in the statements: scalar targets plus loop
-/// index variables (used to prove banded bounds loop-invariant).
-fn collect_assigned(stmts: &[Stmt], out: &mut Vec<Symbol>) {
-    for s in stmts {
-        match s {
-            Stmt::AssignScalar { var, .. } => out.push(var.clone()),
-            Stmt::AssignArray { .. } => {}
-            Stmt::Loop(l) => {
-                out.push(l.var.clone());
-                collect_assigned(&l.body, out);
-            }
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                collect_assigned(then_body, out);
-                collect_assigned(else_body, out);
-            }
-        }
-    }
 }
 
 /// Verify that every scalar assigned anywhere in the (sub)nest body is
 /// written before it is read on every path — i.e. it can be privatized per
 /// iteration, so iterations do not communicate through it.
-pub(crate) fn scalar_privatization_ok(nest: &Nest, _start: usize, end: usize) -> Result<()> {
-    let mut assigned = HashSet::new();
-    collect_assigned_scalars(&nest.body, &mut assigned);
+fn scalar_privatization_ok(nest: &Nest, end: usize) -> Result<()> {
+    let mut assigned = BTreeSet::new();
+    walk(&nest.body, &mut |v| {
+        if let Some(Binds::Scalar(var)) = v.binds() {
+            assigned.insert(var.clone());
+        }
+    });
 
     // Variables defined on entry to each iteration: every nest level var
     // (coalesced and outer vars via recovery/outer loops, inner vars by
     // their preserved loops).
-    let mut defined: HashSet<Symbol> = nest.loops.iter().map(|h| h.var.clone()).collect();
+    let mut defined: BTreeSet<Symbol> = nest.loops.iter().map(|h| h.var.clone()).collect();
     // The preserved inner headers execute per coalesced iteration: their
     // bound expressions are reads too.
+    let mut header_reads = Vec::new();
     for h in &nest.loops[end..] {
-        check_reads_expr(&h.lower, &assigned, &defined)?;
-        check_reads_expr(&h.upper, &assigned, &defined)?;
-        check_reads_expr(&h.step, &assigned, &defined)?;
+        h.lower.variables(&mut header_reads);
+        h.upper.variables(&mut header_reads);
+        h.step.variables(&mut header_reads);
     }
-    walk_check(&nest.body, &assigned, &mut defined)
-}
-
-fn collect_assigned_scalars(stmts: &[Stmt], out: &mut HashSet<Symbol>) {
-    for s in stmts {
-        match s {
-            Stmt::AssignScalar { var, .. } => {
-                out.insert(var.clone());
-            }
-            Stmt::AssignArray { .. } => {}
-            Stmt::Loop(l) => collect_assigned_scalars(&l.body, out),
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                collect_assigned_scalars(then_body, out);
-                collect_assigned_scalars(else_body, out);
-            }
+    let mut first = header_reads
+        .into_iter()
+        .find(|v| assigned.contains(v) && !defined.contains(v));
+    undefined_reads(&nest.body, &mut defined, &mut |var, _| {
+        if first.is_none() && assigned.contains(var) {
+            first = Some(var.clone());
         }
+    });
+    match first {
+        Some(var) => Err(Error::Unsupported(SkipReason::ScalarReduction { var })),
+        None => Ok(()),
     }
-}
-
-fn check_reads_expr(e: &Expr, assigned: &HashSet<Symbol>, defined: &HashSet<Symbol>) -> Result<()> {
-    let mut vars = Vec::new();
-    e.variables(&mut vars);
-    for v in vars {
-        if assigned.contains(&v) && !defined.contains(&v) {
-            return Err(Error::Unsupported(SkipReason::ScalarReduction { var: v }));
-        }
-    }
-    Ok(())
-}
-
-fn check_reads_cond(c: &Cond, assigned: &HashSet<Symbol>, defined: &HashSet<Symbol>) -> Result<()> {
-    match c {
-        Cond::Cmp(_, a, b) => {
-            check_reads_expr(a, assigned, defined)?;
-            check_reads_expr(b, assigned, defined)
-        }
-        Cond::Not(x) => check_reads_cond(x, assigned, defined),
-        Cond::And(a, b) | Cond::Or(a, b) => {
-            check_reads_cond(a, assigned, defined)?;
-            check_reads_cond(b, assigned, defined)
-        }
-    }
-}
-
-fn walk_check(
-    stmts: &[Stmt],
-    assigned: &HashSet<Symbol>,
-    defined: &mut HashSet<Symbol>,
-) -> Result<()> {
-    for s in stmts {
-        match s {
-            Stmt::AssignScalar { var, value } => {
-                check_reads_expr(value, assigned, defined)?;
-                defined.insert(var.clone());
-            }
-            Stmt::AssignArray { target, value } => {
-                for ix in &target.indices {
-                    check_reads_expr(ix, assigned, defined)?;
-                }
-                check_reads_expr(value, assigned, defined)?;
-            }
-            Stmt::Loop(l) => {
-                check_reads_expr(&l.lower, assigned, defined)?;
-                check_reads_expr(&l.upper, assigned, defined)?;
-                check_reads_expr(&l.step, assigned, defined)?;
-                let mut inner = defined.clone();
-                inner.insert(l.var.clone());
-                walk_check(&l.body, assigned, &mut inner)?;
-                // The loop may run zero times: definitions inside it are
-                // not guaranteed afterwards, so `defined` is unchanged.
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                check_reads_cond(cond, assigned, defined)?;
-                let mut d_then = defined.clone();
-                walk_check(then_body, assigned, &mut d_then)?;
-                let mut d_else = defined.clone();
-                walk_check(else_body, assigned, &mut d_else)?;
-                // Defined afterwards = defined on both paths.
-                for v in d_then.intersection(&d_else) {
-                    defined.insert(v.clone());
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1117,6 +997,51 @@ mod tests {
     }
 
     #[test]
+    fn precheck_reports_typed_reason_without_rewriting() {
+        let p = parse_program(
+            "
+            array A[8];
+            s = 0;
+            doall i = 1..8 {
+                s = s + A[i];
+            }
+            ",
+        )
+        .unwrap();
+        let (_, l) = loop_of(&p);
+        let err = precheck_band(&extract_nest(&l), None, &CoalesceOptions::default()).unwrap_err();
+        assert!(
+            matches!(err, Error::Unsupported(SkipReason::ScalarReduction { .. })),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn injected_deps_are_honored() {
+        // Serial levels are legal to coalesce when the dependences handed
+        // in prove them parallel; nothing is re-analyzed.
+        let p = parse_program(
+            "
+            array A[4][4];
+            for i = 1..4 {
+                for j = 1..4 {
+                    A[i][j] = i * j;
+                }
+            }
+            ",
+        )
+        .unwrap();
+        let (_, l) = loop_of(&p);
+        let nest = extract_nest(&l);
+        let deps = analyze_nest(&nest).unwrap();
+        let opts = CoalesceOptions::default();
+        precheck_band(&nest, Some(&deps), &opts).expect("legal");
+        let out = coalesce_band(&nest, Some(&deps), &opts).unwrap();
+        assert_eq!(out.info.levels, (0, 2));
+        assert_eq!(out.info.total_iterations, 16);
+    }
+
+    #[test]
     fn privatizable_temp_is_accepted() {
         check_coalesce(
             "
@@ -1429,7 +1354,7 @@ mod tests {
             other => panic!("unexpected preamble stmt {other:?}"),
         }
         let mut vars = Vec::new();
-        collect_stmt_symbols(&out.transformed.body, &mut vars);
+        walk(&out.transformed.body, &mut |v| vars.extend(v.reads()));
         assert!(
             !vars.iter().any(|v| v.as_str().starts_with("lcs")),
             "recovery must use literal strides, got {vars:?}"

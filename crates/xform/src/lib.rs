@@ -17,20 +17,14 @@
 //!   point handles compile-time and runtime trip counts, choosing the
 //!   recovery form per level: constant strides stay literals, symbolic
 //!   stride products become scalar computations ahead of the loop.
-//! * [`interchange`] / [`stripmine`] — the companion transformations the
-//!   paper positions coalescing against (interchange to move a parallel
-//!   loop outward; strip-mining/chunking to coarsen grain).
-//! * [`distribute`] / [`fuse`] / [`perfect`] — the *enabling*
-//!   transformations: distribution peels imperfect nests apart, fusion
-//!   merges conformable loops back, and perfection sinks pre/post
+//! * [`interchange`] — swaps two adjacent levels to move a parallel loop
+//!   outward, so the band that coalesces starts at the top of the nest.
+//! * [`perfect`] — the *enabling* transformation: sinks pre/post
 //!   statements under first/last-iteration guards so a near-perfect nest
 //!   becomes coalescible (the `omp collapse` trick).
 //! * [`strength`] — common-subexpression extraction over generated
 //!   recovery code (the paper's observation that adjacent indices share
 //!   their ceiling terms).
-//! * [`transform`] — the [`Transform`] trait: one uniform
-//!   name / precheck / apply contract over all of the above, so drivers
-//!   can run a data-driven pipeline instead of hand-wired calls.
 //! * [`validate`] — interpreter-based equivalence and order-independence
 //!   checking used by the test-suite to prove transformations correct.
 //!
@@ -61,17 +55,12 @@
 #![forbid(unsafe_code)]
 
 pub mod coalesce;
-pub mod distribute;
-pub mod fuse;
 pub mod interchange;
 pub mod normalize;
 pub mod perfect;
 pub mod recovery;
 pub mod strength;
-pub mod stripmine;
-pub mod transform;
 pub mod validate;
 
 pub use coalesce::{coalesce_band, coalesce_loop, CoalesceInfo, CoalesceOptions, CoalesceResult};
 pub use recovery::{Odometer, RecoveryScheme};
-pub use transform::{Rewrite, Transform, TransformCx};

@@ -33,12 +33,18 @@ pub fn normalize_loop(l: &Loop) -> Result<Loop> {
     if step == 0 {
         return Err(Error::ZeroStep(l.var.clone()));
     }
-    let trip = l.const_trip_count().ok_or_else(|| {
-        Error::Unsupported(SkipReason::SymbolicBound {
+    if l.upper.as_const().is_none() {
+        return Err(Error::Unsupported(SkipReason::SymbolicBound {
             var: l.var.clone(),
             part: BoundPart::Upper,
-        })
-    })?;
+        }));
+    }
+    // Constant bounds with no trip count (or one past `i64::MAX`) cannot
+    // be written as a `1..=N` header.
+    let trip = l
+        .const_trip_count()
+        .and_then(|t| i64::try_from(t).ok())
+        .ok_or(Error::Overflow)?;
 
     // i = lo + (i' - 1) * step, substituted everywhere i occurred.
     let replacement =
@@ -51,7 +57,7 @@ pub fn normalize_loop(l: &Loop) -> Result<Loop> {
     Ok(Loop {
         var: l.var.clone(),
         lower: Expr::lit(1),
-        upper: Expr::lit(trip as i64),
+        upper: Expr::lit(trip),
         step: Expr::lit(1),
         kind: l.kind,
         body,
@@ -235,6 +241,37 @@ mod tests {
         .unwrap();
         let err = normalize_loop(&loop_of(&p)).unwrap_err();
         assert!(matches!(err, Error::Unsupported(_)));
+
+        // A symbolic upper bound under an offset lower bound is reported
+        // as a symbolic skip, not as an un-normalized constant loop.
+        let p = parse_program(
+            "
+            array A[10];
+            n = 10;
+            doall i = 2..n {
+                A[i] = i;
+            }
+            ",
+        )
+        .unwrap();
+        match normalize_nest(&extract_nest(&loop_of(&p))).unwrap_err() {
+            Error::Unsupported(reason) => assert!(reason.is_symbolic(), "{reason}"),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn trip_count_past_i64_max_is_an_overflow_error() {
+        let p = parse_program(
+            "
+            array A[1];
+            doall i = -9223372036854775807..9223372036854775807 {
+                A[1] = 0;
+            }
+            ",
+        )
+        .unwrap();
+        assert_eq!(normalize_loop(&loop_of(&p)).unwrap_err(), Error::Overflow);
     }
 
     #[test]

@@ -36,6 +36,7 @@ use lc_ir::analysis::depend::analyze_nest;
 use lc_ir::analysis::nest::extract_nest;
 use lc_ir::expr::{CmpOp, Cond, Expr};
 use lc_ir::stmt::{Loop, Stmt};
+use lc_ir::walk::{walk, Binds};
 use lc_ir::{Error, Result, SkipReason};
 
 /// Sink prologue/epilogue statements around the unique inner loop of `l`
@@ -84,16 +85,19 @@ pub fn perfect_one_level(l: &Loop) -> Result<Loop> {
     let prologue: Vec<Stmt> = l.body[..pos].to_vec();
     let epilogue: Vec<Stmt> = l.body[pos + 1..].to_vec();
 
-    // Prologue/epilogue must not use or redefine the inner loop variable.
-    for s in prologue.iter().chain(&epilogue) {
-        let mut vars = Vec::new();
-        collect_stmt_vars(s, &mut vars);
-        if vars.contains(&inner.var) {
-            return Err(Error::unsupported(format!(
-                "statement outside the inner loop mentions its index `{}`",
-                inner.var
-            )));
-        }
+    // Prologue/epilogue must not read or assign the inner loop variable.
+    let mut mentions = false;
+    for part in [&prologue, &epilogue] {
+        walk(part, &mut |v| {
+            mentions |=
+                v.binds() == Some(Binds::Scalar(&inner.var)) || v.reads().contains(&inner.var);
+        });
+    }
+    if mentions {
+        return Err(Error::unsupported(format!(
+            "statement outside the inner loop mentions its index `{}`",
+            inner.var
+        )));
     }
 
     let jv = Expr::Var(inner.var.clone());
@@ -189,39 +193,6 @@ pub fn perfect_recursively(l: &Loop) -> Result<Loop> {
         }
     }
     Ok(current)
-}
-
-fn collect_stmt_vars(s: &Stmt, out: &mut Vec<lc_ir::Symbol>) {
-    match s {
-        Stmt::AssignScalar { var, value } => {
-            out.push(var.clone());
-            value.variables(out);
-        }
-        Stmt::AssignArray { target, value } => {
-            for ix in &target.indices {
-                ix.variables(out);
-            }
-            value.variables(out);
-        }
-        Stmt::Loop(l) => {
-            l.lower.variables(out);
-            l.upper.variables(out);
-            l.step.variables(out);
-            for inner in &l.body {
-                collect_stmt_vars(inner, out);
-            }
-        }
-        Stmt::If {
-            cond,
-            then_body,
-            else_body,
-        } => {
-            cond.variables(out);
-            for inner in then_body.iter().chain(else_body) {
-                collect_stmt_vars(inner, out);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -444,44 +415,6 @@ mod tests {
         .unwrap();
         let (_, l) = loop_of(&p);
         assert_eq!(perfect_one_level(&l).unwrap(), l);
-    }
-
-    #[test]
-    fn perfect_then_distribute_alternative() {
-        // The same imperfect nest can be handled by distribution instead;
-        // both routes must agree with the original semantics. (Cross-check
-        // of the two enabling transformations.)
-        use crate::distribute::distribute;
-        let src = "
-            array D[6];
-            array M[6][7];
-            for i = 1..6 {
-                D[i] = i * i;
-                for j = 1..7 {
-                    M[i][j] = i + j;
-                }
-            }
-            ";
-        let p = parse_program(src).unwrap();
-        let (idx, l) = loop_of(&p);
-
-        let via_perfect = {
-            let mut p2 = p.clone();
-            p2.body[idx] = Stmt::Loop(perfect_one_level(&l).unwrap());
-            Interp::new().run(&p2).unwrap()
-        };
-        let via_distribute = {
-            let loops = distribute(&l).unwrap();
-            let mut p2 = p.clone();
-            p2.body.remove(idx);
-            for (off, lp) in loops.into_iter().enumerate() {
-                p2.body.insert(idx + off, Stmt::Loop(lp));
-            }
-            Interp::new().run(&p2).unwrap()
-        };
-        let original = Interp::new().run(&p).unwrap();
-        assert_eq!(original, via_perfect);
-        assert_eq!(original, via_distribute);
     }
 
     #[test]

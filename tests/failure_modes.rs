@@ -1,7 +1,9 @@
 //! Failure-injection integration tests: every layer must reject bad input
 //! with a descriptive error instead of panicking or silently mis-running.
 
+use lc_lint::{lint_source, LintSet};
 use loop_coalescing::coalesce_source;
+use loop_coalescing::driver::{Driver, DriverOptions};
 use loop_coalescing::ir::interp::Interp;
 use loop_coalescing::ir::parser::parse_program;
 use loop_coalescing::ir::{Error, Stmt};
@@ -139,6 +141,31 @@ fn overflowing_iteration_space_is_rejected() {
     use loop_coalescing::xform::recovery::total_iterations;
     assert!(total_iterations(&[u64::MAX, 2]).is_err());
     assert!(total_iterations(&[1 << 32, 1 << 32]).is_err());
+}
+
+#[test]
+fn trip_count_past_i64_max_is_exact_and_panics_nowhere() {
+    // 2^64 - 1 iterations: the span `hi - lo` overflows i64, so every
+    // layer that counts trips has to do it wider. Run in a debug build,
+    // where an overflowing subtraction panics instead of wrapping.
+    let src = "
+        array A[1];
+        doall i = -9223372036854775807..9223372036854775807 {
+            A[1] = 0;
+        }
+    ";
+    let program = parse_program(src).unwrap();
+    let Stmt::Loop(l) = &program.body[0] else {
+        panic!("expected a loop")
+    };
+    assert_eq!(l.const_trip_count(), Some(18446744073709551615));
+
+    assert!(lint_source(src, &LintSet::default()).is_ok());
+
+    // `1..=2^64 - 1` does not fit a normalized header: a typed error.
+    let compiled = std::panic::catch_unwind(|| Driver::new(DriverOptions::default()).compile(src))
+        .expect("Driver::compile panicked");
+    assert!(matches!(compiled, Err(Error::Overflow)), "{compiled:?}");
 }
 
 #[test]

@@ -15,6 +15,7 @@ use lc_fuzz::gen::{self, GenConfig};
 use lc_fuzz::oracle::run_case;
 use lc_fuzz::rng::Rng;
 use lc_fuzz::shrink::shrink_with;
+use lc_ir::interp::{DoallOrder, Interp, Store};
 use lc_ir::parser::parse_program;
 use lc_ir::printer::print_program;
 
@@ -124,4 +125,42 @@ fn shrinker_converges_and_minimizes() {
     // Loops and the unrelated scalar are gone; a bare W write remains.
     assert!(!text.contains("doall"), "{text}");
     assert!(!text.contains("extra"), "{text}");
+}
+
+/// Certificate soundness for a read that precedes a doall inside a
+/// repeating serial loop body: the doall's scalar from one `t` iteration
+/// is read at the top of the next, so the program is order-dependent and
+/// must not be certified.
+#[test]
+fn certificate_vs_interpreter_on_loop_carried_escape() {
+    let src = "
+        array A[8];
+        array B[8];
+        s = 0;
+        for t = 1..3 {
+            B[t] = s;
+            doall i = 1..8 {
+                s = i;
+                A[i] = 0;
+            }
+        }
+    ";
+    let p = parse_program(src).unwrap();
+    let certified = lc_lint::certifies_order_independent(&p);
+
+    let base = Store::for_program(&p);
+    let run = |order: DoallOrder| {
+        Interp::new()
+            .with_order(order)
+            .run_on(&p, base.clone())
+            .map(|(store, _)| store.digest())
+    };
+    let forward = run(DoallOrder::Forward).unwrap();
+    let reverse = run(DoallOrder::Reverse).unwrap();
+
+    eprintln!("certified={certified} forward={forward:#x} reverse={reverse:#x}");
+    assert!(
+        !(certified && forward != reverse),
+        "UNSOUND: certified order-independent but digests differ"
+    );
 }
