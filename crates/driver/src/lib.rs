@@ -7,9 +7,10 @@
 //! observable output was the final program. This crate replaces that
 //! wiring with a proper driver:
 //!
-//! * [`PassManager`] — runs the standard pipeline (analyze → normalize →
-//!   perfection → interchange → advise → coalesce → strength-reduce)
-//!   over every top-level nest, then validates the rewrite against the
+//! * [`Driver`] — runs a pass pipeline ([`DEFAULT_PASS_ORDER`]: analyze
+//!   → normalize → perfect → interchange → advise → coalesce →
+//!   strength-reduce, or any subset via [`Driver::with_pipeline`]) over
+//!   every top-level nest, then validates the rewrite against the
 //!   interpreter. The `analyze` stage runs the `lc-lint` checks and can
 //!   veto a nest (`deny` severity → [`SkipReason::LintDenied`]).
 //! * [`cache::NestAnalyses`] — memoizes nest extraction, normalization,
@@ -19,6 +20,8 @@
 //! * [`trace::PipelineTrace`] — a timed, JSON-serializable record of
 //!   every pass invocation (applied / skipped-with-diagnostic /
 //!   validated), plus a human-readable [`trace::PipelineTrace::report`].
+//!   The crate writes JSON but never reads its own documents back:
+//!   [`json::Json::parse`] exists for request bodies.
 //! * [`Driver::compile_batch`] — compiles many programs on a
 //!   self-scheduled worker pool (one shared atomic counter, in the
 //!   spirit of the paper's fetch&add dispatcher) with deterministic,
@@ -51,24 +54,22 @@
 pub mod batch;
 pub mod cache;
 pub mod json;
-pub mod pass;
+mod pass;
 pub mod pipeline;
 pub mod sync;
 pub mod trace;
 
 use std::fmt;
 
-use lc_ir::parser::parse_program;
 use lc_ir::program::Program;
-use lc_ir::{Result, SkipReason};
+use lc_ir::SkipReason;
 use lc_lint::{Finding, LintSet};
 use lc_sched::advise::AdviseParams;
 use lc_xform::coalesce::{CoalesceInfo, CoalesceOptions};
 
 pub use batch::BatchItem;
 pub use cache::CacheStats;
-pub use pass::{Pass, PassOutcome};
-pub use pipeline::{pass_by_name, PassManager, DEFAULT_PASS_ORDER};
+pub use pipeline::{Driver, DEFAULT_PASS_ORDER};
 pub use trace::{PipelineTrace, TraceEvent, TraceOutcome};
 
 /// A nest the pipeline left untouched, with its typed diagnostic.
@@ -104,18 +105,6 @@ impl Skip {
         }
         json::Json::obj(pairs)
     }
-
-    /// Deserialize from [`Skip::to_json`] output.
-    pub fn from_json(v: &json::Json) -> std::result::Result<Skip, String> {
-        Ok(Skip {
-            nest: v.int_field("nest")? as usize,
-            reason: trace::skip_reason_from_json(v.field("reason")?)?,
-            fallback: match v.get("fallback") {
-                Some(fb) => Some(trace::skip_reason_from_json(fb)?),
-                None => None,
-            },
-        })
-    }
 }
 
 /// Driver configuration: the coalescing options plus which enabling
@@ -135,10 +124,6 @@ pub struct DriverOptions {
     /// When set, the advise pass picks the best legal collapse band for
     /// these machine parameters, overriding `coalesce.levels` per nest.
     pub advise: Option<AdviseParams>,
-    /// Pass names to run, in order, instead of
-    /// [`pipeline::DEFAULT_PASS_ORDER`]. Every name must be registered
-    /// in [`pipeline::pass_by_name`]; [`Driver::new`] panics otherwise.
-    pub pass_order: Option<Vec<String>>,
     /// Interpret-and-compare the program against the original after
     /// every *structural* pass application (perfection, interchange,
     /// coalesce), not just once at the end. Each check is traced as a
@@ -162,7 +147,6 @@ impl Default for DriverOptions {
             enable_interchange: true,
             validate: true,
             advise: None,
-            pass_order: None,
             validate_each_pass: false,
             lints: LintSet::default(),
         }
@@ -170,21 +154,6 @@ impl Default for DriverOptions {
 }
 
 impl DriverOptions {
-    /// A stable fingerprint of every knob that can change a
-    /// compilation's output. Two drivers with equal fingerprints produce
-    /// byte-identical results for the same source, so the fingerprint
-    /// (hashed together with the source) is a sound compile-cache key —
-    /// the serving layer builds its content-addressed cache on exactly
-    /// this.
-    ///
-    /// The encoding is the `Debug` rendering of the options: every field
-    /// of [`DriverOptions`], [`CoalesceOptions`], and
-    /// [`AdviseParams`] derives `Debug` structurally, so any field
-    /// change — including future added fields — changes the fingerprint.
-    pub fn fingerprint(&self) -> String {
-        format!("{self:?}")
-    }
-
     /// The configuration the `loop_coalescing` facade uses to stay
     /// byte-compatible with the seed `coalesce_source` pipeline:
     /// coalesce + validate only, no structural enabling passes.
@@ -195,7 +164,6 @@ impl DriverOptions {
             enable_interchange: false,
             validate: true,
             advise: None,
-            pass_order: None,
             validate_each_pass: false,
             // The seed pipeline predates the analyzer; keep its
             // behaviour (and pass roster) byte-identical.
@@ -222,92 +190,6 @@ pub struct DriverOutput {
     pub lints: Vec<Finding>,
     /// The timed record of every pass invocation plus cache counters.
     pub trace: PipelineTrace,
-}
-
-/// The single entry point: a configured pass pipeline ready to compile
-/// programs (and batches of programs).
-pub struct Driver {
-    manager: PassManager,
-}
-
-impl Default for Driver {
-    fn default() -> Self {
-        Driver::new(DriverOptions::default())
-    }
-}
-
-impl Driver {
-    /// Build a driver running the standard pipeline under `options`.
-    pub fn new(options: DriverOptions) -> Self {
-        Driver {
-            manager: PassManager::standard(options),
-        }
-    }
-
-    /// Fallible constructor: build a driver running exactly the named
-    /// passes, in order. Unlike [`Driver::new`], an unknown pass name in
-    /// `order` (or in `options.pass_order`, which `order` overrides) is
-    /// reported as an error instead of panicking — the entry point for
-    /// callers assembling pipelines from untrusted or generated input,
-    /// such as the differential fuzzer permuting
-    /// [`pipeline::DEFAULT_PASS_ORDER`]. The returned driver is
-    /// re-runnable: one handle compiles any number of programs (also
-    /// concurrently).
-    pub fn with_pipeline(
-        options: DriverOptions,
-        order: &[&str],
-    ) -> std::result::Result<Self, String> {
-        Ok(Driver {
-            manager: PassManager::with_pipeline(options, order)?,
-        })
-    }
-
-    /// Fallible counterpart of [`Driver::new`]: build the pipeline from
-    /// `options.pass_order` (falling back to
-    /// [`pipeline::DEFAULT_PASS_ORDER`]), reporting unknown pass names
-    /// instead of panicking.
-    pub fn try_new(options: DriverOptions) -> std::result::Result<Self, String> {
-        let order: Vec<String> = match &options.pass_order {
-            Some(o) => o.clone(),
-            None => DEFAULT_PASS_ORDER.iter().map(|s| s.to_string()).collect(),
-        };
-        let names: Vec<&str> = order.iter().map(String::as_str).collect();
-        Driver::with_pipeline(options, &names)
-    }
-
-    /// Names of the configured pipeline's passes, in order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.manager.pass_names()
-    }
-
-    /// The configured options.
-    pub fn options(&self) -> &DriverOptions {
-        self.manager.options()
-    }
-
-    /// The underlying pass manager.
-    pub fn manager(&self) -> &PassManager {
-        &self.manager
-    }
-
-    /// Parse DSL source and compile it.
-    pub fn compile(&self, src: &str) -> Result<DriverOutput> {
-        self.manager.compile_program(&parse_program(src)?)
-    }
-
-    /// Compile an already-parsed program.
-    pub fn compile_program(&self, program: &Program) -> Result<DriverOutput> {
-        self.manager.compile_program(program)
-    }
-
-    /// Compile every source in parallel on a self-scheduled worker
-    /// pool. Results preserve input order and are identical to calling
-    /// [`Driver::compile`] sequentially; each [`BatchItem`] additionally
-    /// records its own wall time, and a panic while compiling one item
-    /// becomes that item's error instead of aborting the batch.
-    pub fn compile_batch<S: AsRef<str> + Sync>(&self, sources: &[S]) -> Vec<BatchItem> {
-        batch::compile_batch(self, sources)
-    }
 }
 
 // The serving layer shares one `Driver` across a worker pool; keep the

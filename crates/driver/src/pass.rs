@@ -1,89 +1,58 @@
-//! The pass abstraction and the standard pipeline's passes.
+//! The standard pipeline's passes, as one closed enum.
 //!
-//! Each pass sees one top-level nest at a time through a [`PassCx`]: the
-//! driver options plus the nest's [`NestAnalyses`] cache. Passes report a
-//! [`PassOutcome`] — applied / skipped-with-diagnostic / no-op — which
-//! the [`crate::PassManager`] timestamps into the
+//! Each pass sees one top-level nest at a time through its `NestState`:
+//! the nest's [`NestAnalyses`] cache plus what earlier passes decided.
+//! A pass reports a [`TraceOutcome`] — applied / skipped-with-diagnostic
+//! / no-op / analyzed — which the [`crate::Driver`] timestamps into the
 //! [`crate::trace::PipelineTrace`].
 //!
 //! The standard pipeline order follows the paper's presentation, with
 //! the static analyzer in front:
 //!
-//! 1. [`AnalyzePass`] — run the `lc-lint` checks (race, overflow,
-//!    non-affine, dead-induction, reduction) and veto the nest when a
+//! 1. `analyze` — run the `lc-lint` checks (race, overflow, non-affine,
+//!    dead-induction, reduction) and veto the nest when a
 //!    `deny`-severity lint fires;
-//! 2. [`NormalizePass`] — put headers in `1..=N step 1` form (cached);
-//! 3. [`PerfectionPass`] — sink prologue/epilogue statements to perfect
-//!    the nest (guarded statement distribution);
-//! 4. [`InterchangePass`] — move a serial outermost level inward when
-//!    the level below it is parallel, so DOALL levels sit outermost;
-//! 5. [`AdvisePass`] — pick the best legal collapse band analytically;
-//! 6. [`CoalescePass`] — the transformation itself, with the symbolic
-//!    fallback for runtime trip counts;
-//! 7. [`StrengthReducePass`] — report the recovery-CSE savings.
+//! 2. `normalize` — put headers in `1..=N step 1` form (cached);
+//! 3. `perfect` — sink prologue/epilogue statements to perfect the nest
+//!    (guarded statement distribution);
+//! 4. `interchange` — move a serial outermost level inward when the
+//!    level below it is parallel, so DOALL levels sit outermost;
+//! 5. `advise` — pick the best legal collapse band analytically;
+//! 6. `coalesce` — the transformation itself, with the symbolic fallback
+//!    for runtime trip counts;
+//! 7. `strength-reduce` — report the recovery-CSE savings.
 //!
 //! Passes 3–5 are *enabling* passes: their failures are recorded as
 //! skips, never escalated — a nest that cannot be perfected may still
-//! coalesce as-is.
+//! coalesce as-is. Once a nest has a decision (coalesced, skipped, or
+//! vetoed by a denied lint) every later pass except `strength-reduce`
+//! is a no-op.
 
 use std::time::Instant;
 
 use lc_ir::analysis::nest::Nest;
-use lc_ir::stmt::Stmt;
+use lc_ir::stmt::{Loop, Stmt};
 use lc_ir::{Error, Result, SkipReason};
 use lc_lint::{ConstEnv, Finding, LintCode, NestLinter, Severity};
-use lc_xform::coalesce::{coalesce_band, CoalesceInfo, CoalesceResult};
+use lc_xform::coalesce::{coalesce_band, CoalesceInfo, CoalesceOptions, CoalesceResult};
 use lc_xform::interchange::interchange;
 use lc_xform::normalize::require_normalized;
 use lc_xform::perfect::perfect_recursively;
 use lc_xform::recovery::per_iteration_cost;
 
 use crate::cache::NestAnalyses;
+use crate::trace::TraceEvent;
+use crate::trace::TraceOutcome::{self, Analyzed, Applied, Noop, Skipped};
 use crate::{DriverOptions, Skip};
 
-/// What a pass did. Mirrors [`crate::trace::TraceOutcome`] minus the
-/// program-level `Validated` (validation is a manager step, not a pass).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PassOutcome {
-    /// The pass rewrote something.
-    Applied {
-        /// Pass-specific count of rewrites performed.
-        rewrites: u64,
-    },
-    /// The pass declined with a diagnostic.
-    Skipped(SkipReason),
-    /// Nothing to do.
-    Noop,
-    /// The `analyze` stage ran its lints. The manager folds the
-    /// findings into [`crate::DriverOutput::lints`] and emits one
-    /// `lint:LCxxx` trace event per timing entry.
-    Analyzed {
-        /// Every finding the enabled lints produced on this nest.
-        findings: Vec<Finding>,
-        /// Wall time per lint that ran, in pipeline order (nanoseconds,
-        /// always ≥ 1).
-        per_lint: Vec<(LintCode, u64)>,
-    },
-}
-
-/// Context handed to every pass: the options and this nest's memoized
-/// analyses.
-pub struct PassCx<'a> {
-    /// Driver configuration.
-    pub options: &'a DriverOptions,
-    /// Cached analyses for the nest being compiled.
-    pub cache: &'a mut NestAnalyses,
-}
-
-/// The final disposition of a nest, produced by [`CoalescePass`].
-#[derive(Debug, Clone)]
-pub enum Decision {
-    /// The nest was rewritten into these statements.
+/// The final disposition of a nest, produced by the `coalesce` pass (or
+/// by `analyze` when a denied lint vetoes the nest).
+#[derive(Debug)]
+pub(crate) enum Decision {
+    /// The nest was rewritten into these statements (preamble + loop for
+    /// the symbolic path, a single loop otherwise).
     Coalesced {
-        /// Replacement statements (preamble + loop for the symbolic
-        /// path, a single loop otherwise).
         stmts: Vec<Stmt>,
-        /// What the coalescing did.
         info: CoalesceInfo,
     },
     /// The nest is left untouched, with the diagnostic.
@@ -91,397 +60,390 @@ pub enum Decision {
 }
 
 /// Mutable per-nest state threaded through the pipeline.
-#[derive(Debug)]
-pub struct NestState {
+pub(crate) struct NestState {
     /// Index of the nest's statement in the program body.
     pub index: usize,
-    /// Band chosen by [`AdvisePass`], overriding the configured band.
-    pub band_override: Option<(usize, usize)>,
-    /// Set once [`CoalescePass`] decides; later passes become no-ops.
-    /// [`AnalyzePass`] also sets it when a `deny`-severity lint fires.
-    pub decision: Option<Decision>,
     /// Constant-propagation environment from the straight-line scalar
-    /// assignments preceding this nest, consumed by [`AnalyzePass`]
-    /// (LC002's bounded-symbolic trip counts).
+    /// assignments preceding this nest (LC002's bounded-symbolic trips).
     pub env: ConstEnv,
+    /// Memoized analyses of the nest's current form.
+    pub cache: NestAnalyses,
+    /// Band chosen by `advise`, overriding the configured band.
+    pub band_override: Option<(usize, usize)>,
+    /// Set once the nest is decided; later passes become no-ops.
+    pub decision: Option<Decision>,
 }
 
 impl NestState {
-    /// Fresh state for the nest at body position `index`, with no known
-    /// scalar constants.
-    pub fn new(index: usize) -> Self {
-        NestState::with_env(index, ConstEnv::new())
-    }
-
-    /// Fresh state with the constant environment the statements before
-    /// the nest established.
-    pub fn with_env(index: usize, env: ConstEnv) -> Self {
+    /// Fresh state for the loop `l` at body position `index`, under the
+    /// constants the statements before it established.
+    pub fn new(index: usize, l: &Loop, env: ConstEnv) -> Self {
         NestState {
             index,
+            env,
+            cache: NestAnalyses::new(l),
             band_override: None,
             decision: None,
-            env,
         }
     }
 }
 
-/// A pipeline pass. Implementations must be stateless (`&self`) so one
-/// [`crate::PassManager`] can serve concurrent batch workers.
-pub trait Pass: Send + Sync {
-    /// Stable name used in traces and reports.
-    fn name(&self) -> &'static str;
-    /// Run over one nest. `Err` aborts the whole compilation; passes
-    /// that merely cannot apply return `Ok(PassOutcome::Skipped(..))`.
-    fn run(&self, state: &mut NestState, cx: &mut PassCx<'_>) -> Result<PassOutcome>;
-    /// Whether an `Applied` outcome means the program's code changed
-    /// (as opposed to analysis state or advice). Structural passes are
-    /// eligible for the manager's per-pass validation hook.
-    fn structural(&self) -> bool {
-        false
+/// One pipeline pass. Passes are stateless, so one pipeline serves
+/// concurrent batch workers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Pass {
+    Analyze,
+    Normalize,
+    Perfect,
+    Interchange,
+    Advise,
+    Coalesce,
+    StrengthReduce,
+}
+
+impl Pass {
+    /// Stable name used in pipelines, traces and reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            Pass::Analyze => "analyze",
+            Pass::Normalize => "normalize",
+            Pass::Perfect => "perfect",
+            Pass::Interchange => "interchange",
+            Pass::Advise => "advise",
+            Pass::Coalesce => "coalesce",
+            Pass::StrengthReduce => "strength-reduce",
+        }
+    }
+
+    /// The pass called `name`, if there is one.
+    pub fn parse(name: &str) -> Option<Pass> {
+        Some(match name {
+            "analyze" => Pass::Analyze,
+            "normalize" => Pass::Normalize,
+            "perfect" => Pass::Perfect,
+            "interchange" => Pass::Interchange,
+            "advise" => Pass::Advise,
+            "coalesce" => Pass::Coalesce,
+            "strength-reduce" => Pass::StrengthReduce,
+            _ => return None,
+        })
+    }
+
+    /// Whether an `Applied` outcome means the program's code changed (as
+    /// opposed to analysis state or advice). Structural passes are
+    /// eligible for the per-pass validation hook.
+    pub fn structural(self) -> bool {
+        matches!(self, Pass::Perfect | Pass::Interchange | Pass::Coalesce)
+    }
+
+    /// Run over one nest. `Err` aborts the whole compilation; a pass that
+    /// merely cannot apply returns `Ok(Skipped { .. })`. The `analyze`
+    /// pass also pushes one `lint:LCxxx` event per lint into `events`
+    /// and its findings into `lints`.
+    pub fn run(
+        self,
+        nest: &mut NestState,
+        options: &DriverOptions,
+        events: &mut Vec<TraceEvent>,
+        lints: &mut Vec<Finding>,
+    ) -> Result<TraceOutcome> {
+        if nest.decision.is_some() && self != Pass::StrengthReduce {
+            return Ok(Noop);
+        }
+        match self {
+            Pass::Analyze => Ok(analyze(nest, options, events, lints)),
+            Pass::Normalize => normalize(nest, options),
+            Pass::Perfect => Ok(perfect(nest, options)),
+            Pass::Interchange => Ok(interchange_outer(nest, options)),
+            Pass::Advise => Ok(advise(nest, options)),
+            Pass::Coalesce => coalesce(nest, options),
+            Pass::StrengthReduce => Ok(strength_reduce(nest, options)),
+        }
     }
 }
 
-/// Pass 0: static analysis (`lc-lint`).
+/// Static analysis (`lc-lint`).
 ///
 /// Runs every lint enabled in [`DriverOptions::lints`] over the nest
 /// (including sub-nests below imperfect levels), timing each lint
 /// individually. Findings never abort the compilation; a lint
 /// configured at `deny` severity instead *vetoes the nest* — the pass
-/// records a [`Decision::Skipped`] with
-/// [`SkipReason::LintDenied`], so every later pass no-ops and the nest
-/// is emitted untransformed. This is the conservative reading of a
-/// denied lint: refusing to transform is always safe, transforming a
-/// racy nest is not.
-pub struct AnalyzePass;
-
-impl Pass for AnalyzePass {
-    fn name(&self) -> &'static str {
-        "analyze"
+/// records a [`SkipReason::LintDenied`] decision, so every later pass
+/// no-ops and the nest is emitted untransformed. This is the
+/// conservative reading of a denied lint: refusing to transform is
+/// always safe, transforming a racy nest is not.
+fn analyze(
+    nest: &mut NestState,
+    options: &DriverOptions,
+    events: &mut Vec<TraceEvent>,
+    lints: &mut Vec<Finding>,
+) -> TraceOutcome {
+    let set = &options.lints;
+    if set.all_allowed() {
+        return Noop;
     }
+    let mut linter = NestLinter::new(nest.cache.current(), nest.index, &nest.env);
+    let mut findings = Vec::new();
+    let mut per_lint = Vec::new();
+    for code in LintCode::ALL {
+        let sev = set.level(code);
+        if sev == Severity::Allow {
+            continue;
+        }
+        let start = Instant::now();
+        findings.extend(linter.run(code, sev));
+        per_lint.push((code, start.elapsed().as_nanos().max(1) as u64));
+    }
+    // One event per lint that ran; the driver then records the stage
+    // summary this returns.
+    for (code, nanos) in per_lint {
+        events.push(TraceEvent {
+            nest: Some(nest.index),
+            pass: format!("lint:{code}"),
+            outcome: analyzed(findings.iter().filter(|f| f.code == code)),
+            nanos,
+        });
+    }
+    if let Some(deny) = findings.iter().find(|f| f.severity == Severity::Deny) {
+        nest.decision = Some(Decision::Skipped(Skip {
+            nest: nest.index,
+            reason: SkipReason::LintDenied {
+                code: deny.code.code().to_string(),
+                message: deny.message.clone(),
+            },
+            fallback: None,
+        }));
+    }
+    let outcome = analyzed(findings.iter());
+    lints.extend(findings);
+    outcome
+}
 
-    fn run(&self, state: &mut NestState, cx: &mut PassCx<'_>) -> Result<PassOutcome> {
-        if state.decision.is_some() {
-            return Ok(PassOutcome::Noop);
-        }
-        let set = &cx.options.lints;
-        if set.all_allowed() {
-            return Ok(PassOutcome::Noop);
-        }
-        let mut linter = NestLinter::new(cx.cache.current(), state.index, &state.env);
-        let mut findings = Vec::new();
-        let mut per_lint = Vec::new();
-        for code in LintCode::ALL {
-            let sev = set.level(code);
-            if sev == Severity::Allow {
-                continue;
-            }
-            let start = Instant::now();
-            findings.extend(linter.run(code, sev));
-            per_lint.push((code, start.elapsed().as_nanos().max(1) as u64));
-        }
-        if let Some(deny) = findings.iter().find(|f| f.severity == Severity::Deny) {
-            state.decision = Some(Decision::Skipped(Skip {
-                nest: state.index,
-                reason: SkipReason::LintDenied {
-                    code: deny.code.code().to_string(),
-                    message: deny.message.clone(),
-                },
-                fallback: None,
-            }));
-        }
-        Ok(PassOutcome::Analyzed { findings, per_lint })
+/// Count `findings`, and those of them at `deny` severity.
+fn analyzed<'a>(findings: impl Iterator<Item = &'a Finding> + Clone) -> TraceOutcome {
+    Analyzed {
+        findings: findings.clone().count() as u64,
+        denied: findings.filter(|f| f.severity == Severity::Deny).count() as u64,
     }
 }
 
-/// Pass 1: loop normalization (via the analysis cache).
+/// Loop normalization (via the analysis cache).
 ///
 /// Reports how many headers needed rewriting; a symbolic-bound failure
 /// is recorded here but the final constant-vs-symbolic routing happens
-/// in [`CoalescePass`], exactly as in the facade pipeline.
-pub struct NormalizePass;
-
-impl Pass for NormalizePass {
-    fn name(&self) -> &'static str {
-        "normalize"
-    }
-
-    fn run(&self, state: &mut NestState, cx: &mut PassCx<'_>) -> Result<PassOutcome> {
-        if state.decision.is_some() {
-            return Ok(PassOutcome::Noop);
-        }
-        if !cx.options.coalesce.auto_normalize {
-            // The caller promised normalized input; just check.
-            return match require_normalized(&cx.cache.nest().loops) {
-                Ok(()) => Ok(PassOutcome::Noop),
-                Err(Error::Unsupported(r)) => Ok(PassOutcome::Skipped(r)),
-                Err(e) => Err(e),
-            };
-        }
-        let unnormalized = cx
-            .cache
-            .nest()
-            .loops
-            .iter()
-            .filter(|h| !h.is_normalized())
-            .count() as u64;
-        match cx.cache.normalized() {
-            Ok(_) if unnormalized == 0 => Ok(PassOutcome::Noop),
-            Ok(_) => Ok(PassOutcome::Applied {
-                rewrites: unnormalized,
-            }),
-            Err(Error::Unsupported(r)) => Ok(PassOutcome::Skipped(r)),
+/// in `coalesce`, exactly as in the facade pipeline.
+fn normalize(nest: &mut NestState, options: &DriverOptions) -> Result<TraceOutcome> {
+    let cache = &mut nest.cache;
+    if !options.coalesce.auto_normalize {
+        // The caller promised normalized input; just check.
+        return match require_normalized(&cache.nest().loops) {
+            Ok(()) => Ok(Noop),
+            Err(Error::Unsupported(reason)) => Ok(Skipped { reason }),
             Err(e) => Err(e),
-        }
+        };
+    }
+    let unnormalized = cache
+        .nest()
+        .loops
+        .iter()
+        .filter(|h| !h.is_normalized())
+        .count() as u64;
+    match cache.normalized() {
+        Ok(_) if unnormalized == 0 => Ok(Noop),
+        Ok(_) => Ok(Applied {
+            rewrites: unnormalized,
+        }),
+        Err(Error::Unsupported(reason)) => Ok(Skipped { reason }),
+        Err(e) => Err(e),
     }
 }
 
-/// Pass 2: nest perfection (sink prologue/epilogue statements into the
-/// inner loop under first/last-iteration guards). Structural: a rewrite
-/// invalidates the nest's cached analyses.
-pub struct PerfectionPass;
-
-impl Pass for PerfectionPass {
-    fn name(&self) -> &'static str {
-        "perfect"
-    }
-
-    fn structural(&self) -> bool {
-        true
-    }
-
-    fn run(&self, state: &mut NestState, cx: &mut PassCx<'_>) -> Result<PassOutcome> {
-        if state.decision.is_some() || !cx.options.enable_perfection {
-            return Ok(PassOutcome::Noop);
+/// The outcome of an enabling rewrite: a new loop replaces the nest's
+/// current form (invalidating its cached analyses), and any failure is a
+/// skip — an enabling pass never aborts the compilation, since the nest
+/// may still coalesce (or skip) as-is.
+fn enabling(cache: &mut NestAnalyses, rewritten: Result<Loop>) -> TraceOutcome {
+    match rewritten {
+        Ok(l) => {
+            cache.rewrite(l);
+            Applied { rewrites: 1 }
         }
-        match perfect_recursively(cx.cache.current()) {
-            Ok(p) if p == *cx.cache.current() => Ok(PassOutcome::Noop),
-            Ok(p) => {
-                cx.cache.rewrite(p);
-                Ok(PassOutcome::Applied { rewrites: 1 })
+        Err(Error::Unsupported(reason)) => Skipped { reason },
+        Err(e) => Skipped {
+            reason: SkipReason::Other(e.to_string()),
+        },
+    }
+}
+
+/// Nest perfection (sink prologue/epilogue statements into the inner
+/// loop under first/last-iteration guards). Structural.
+fn perfect(nest: &mut NestState, options: &DriverOptions) -> TraceOutcome {
+    if !options.enable_perfection {
+        return Noop;
+    }
+    match perfect_recursively(nest.cache.current()) {
+        Ok(p) if p == *nest.cache.current() => Noop,
+        rewritten => enabling(&mut nest.cache, rewritten),
+    }
+}
+
+/// Loop interchange. When the outermost level carries a dependence but
+/// the level below it is parallel, swap them so the parallel level moves
+/// outward — the classical enabling step the paper positions coalescing
+/// against. Structural.
+fn interchange_outer(nest: &mut NestState, options: &DriverOptions) -> TraceOutcome {
+    if !options.enable_interchange {
+        return Noop;
+    }
+    let cache = &mut nest.cache;
+    let depth = cache.nest().depth();
+    if depth < 2 || cache.normalized().is_err() {
+        // Depth-1 or symbolic nests: nothing to interchange here.
+        return Noop;
+    }
+    let carried: Vec<bool> = match cache.deps() {
+        Ok(d) => (0..depth).map(|k| d.carried_at(k)).collect(),
+        // Let the coalesce pass surface analysis problems.
+        Err(_) => return Noop,
+    };
+    let Some(level) = (0..depth - 1).find(|&k| carried[k] && !carried[k + 1]) else {
+        return Noop;
+    };
+    let rewritten = interchange(cache.current(), level);
+    enabling(cache, rewritten)
+}
+
+/// Analytic band advice (only when [`DriverOptions::advise`] is set).
+/// Evaluates every contiguous DOALL-legal band under the machine model
+/// and overrides the configured band with the winner.
+fn advise(nest: &mut NestState, options: &DriverOptions) -> TraceOutcome {
+    let Some(params) = &options.advise else {
+        return Noop;
+    };
+    let symbolic = Skipped {
+        reason: SkipReason::SymbolicBounds,
+    };
+    let dims = match nest.cache.normalized() {
+        Ok(n) => match n.trip_counts() {
+            Some(d) => d,
+            None => return symbolic,
+        },
+        Err(_) => return symbolic,
+    };
+    let legal: Vec<bool> = match nest.cache.deps() {
+        Ok(d) => (0..dims.len()).map(|k| !d.carried_at(k)).collect(),
+        Err(_) => return Noop,
+    };
+    if !legal.iter().any(|&x| x) {
+        return Skipped {
+            reason: SkipReason::NothingLegal,
+        };
+    }
+    let scheme = options.coalesce.scheme;
+    let advice = lc_sched::advise::advise(&dims, &legal, params, &|band| {
+        per_iteration_cost(scheme, band)
+    });
+    nest.band_override = Some(advice.band);
+    Applied {
+        rewrites: (advice.band.1 - advice.band.0) as u64,
+    }
+}
+
+/// The coalescing transformation, constant path first with the symbolic
+/// fallback — byte-for-byte the facade pipeline's routing, but with
+/// every analysis drawn from the cache instead of recomputed.
+fn coalesce(nest: &mut NestState, options: &DriverOptions) -> Result<TraceOutcome> {
+    let depth = nest.cache.nest().depth();
+    let mut opts = options.coalesce.clone().clamped_to_depth(depth);
+    if let Some(band) = nest.band_override {
+        opts.levels = Some(band);
+    }
+    let band = opts.levels.unwrap_or((0, depth));
+    let width = band.1.saturating_sub(band.0) as u64;
+
+    let result = match constant_path(&mut nest.cache, &opts, depth) {
+        Ok(result) => result,
+        Err(Error::Unsupported(reason)) if reason.is_symbolic() => {
+            // Normalization needs constant trip counts; retry on the raw
+            // nest, where the per-level emitter computes symbolic strides
+            // at run time.
+            match coalesce_band(nest.cache.nest_ref(), None, &opts) {
+                Ok(result) => result,
+                Err(Error::Unsupported(fallback)) => return Ok(skip(nest, reason, Some(fallback))),
+                Err(other) => return Err(other),
             }
-            Err(Error::Unsupported(r)) => Ok(PassOutcome::Skipped(r)),
-            // An enabling pass never aborts the compilation: an
-            // unperfectable nest may still coalesce (or skip) as-is.
-            Err(e) => Ok(PassOutcome::Skipped(SkipReason::Other(e.to_string()))),
         }
-    }
+        Err(Error::Unsupported(reason)) => return Ok(skip(nest, reason, None)),
+        Err(other) => return Err(other),
+    };
+    nest.decision = Some(Decision::Coalesced {
+        stmts: result.stmts(),
+        info: result.info,
+    });
+    Ok(Applied { rewrites: width })
 }
 
-/// Pass 3: loop interchange. When the outermost level carries a
-/// dependence but the level below it is parallel, swap them so the
-/// parallel level moves outward — the classical enabling step the paper
-/// positions coalescing against. Structural: invalidates the cache.
-pub struct InterchangePass;
-
-impl Pass for InterchangePass {
-    fn name(&self) -> &'static str {
-        "interchange"
-    }
-
-    fn structural(&self) -> bool {
-        true
-    }
-
-    fn run(&self, state: &mut NestState, cx: &mut PassCx<'_>) -> Result<PassOutcome> {
-        if state.decision.is_some() || !cx.options.enable_interchange {
-            return Ok(PassOutcome::Noop);
-        }
-        let depth = cx.cache.nest().depth();
-        if depth < 2 || cx.cache.normalized().is_err() {
-            // Depth-1 or symbolic nests: nothing to interchange here.
-            return Ok(PassOutcome::Noop);
-        }
-        let carried: Vec<bool> = match cx.cache.deps() {
-            Ok(d) => (0..depth).map(|k| d.carried_at(k)).collect(),
-            // Let the coalesce pass surface analysis problems.
-            Err(_) => return Ok(PassOutcome::Noop),
-        };
-        let Some(level) = (0..depth - 1).find(|&k| carried[k] && !carried[k + 1]) else {
-            return Ok(PassOutcome::Noop);
-        };
-        match interchange(cx.cache.current(), level) {
-            Ok(l) => {
-                cx.cache.rewrite(l);
-                Ok(PassOutcome::Applied { rewrites: 1 })
-            }
-            Err(Error::Unsupported(r)) => Ok(PassOutcome::Skipped(r)),
-            Err(e) => Ok(PassOutcome::Skipped(SkipReason::Other(e.to_string()))),
-        }
-    }
+/// Record a skip decision and report it.
+fn skip(nest: &mut NestState, reason: SkipReason, fallback: Option<SkipReason>) -> TraceOutcome {
+    nest.decision = Some(Decision::Skipped(Skip {
+        nest: nest.index,
+        reason: reason.clone(),
+        fallback,
+    }));
+    Skipped { reason }
 }
 
-/// Pass 4: analytic band advice (only when [`DriverOptions::advise`] is
-/// set). Evaluates every contiguous DOALL-legal band under the machine
-/// model and overrides the configured band with the winner.
-pub struct AdvisePass;
-
-impl Pass for AdvisePass {
-    fn name(&self) -> &'static str {
-        "advise"
+/// Run the constant-trip-count path with cached analyses. Replicates
+/// `coalesce_loop` = normalize (cached) + `coalesce_band`, injecting the
+/// cached dependence analysis exactly when `coalesce_band` would compute
+/// one (legality checking on, band valid).
+fn constant_path(
+    cache: &mut NestAnalyses,
+    opts: &CoalesceOptions,
+    depth: usize,
+) -> Result<CoalesceResult> {
+    let (s, e) = opts.levels.unwrap_or((0, depth));
+    let valid_band = s < e && e <= depth;
+    if opts.auto_normalize {
+        cache.normalized()?;
+    } else {
+        require_normalized(&cache.nest().loops)?;
     }
-
-    fn run(&self, state: &mut NestState, cx: &mut PassCx<'_>) -> Result<PassOutcome> {
-        if state.decision.is_some() {
-            return Ok(PassOutcome::Noop);
-        }
-        let Some(params) = &cx.options.advise else {
-            return Ok(PassOutcome::Noop);
-        };
-        let dims = match cx.cache.normalized() {
-            Ok(n) => match n.trip_counts() {
-                Some(d) => d,
-                None => return Ok(PassOutcome::Skipped(SkipReason::SymbolicBounds)),
-            },
-            Err(_) => return Ok(PassOutcome::Skipped(SkipReason::SymbolicBounds)),
-        };
-        let legal: Vec<bool> = match cx.cache.deps() {
-            Ok(d) => (0..dims.len()).map(|k| !d.carried_at(k)).collect(),
-            Err(_) => return Ok(PassOutcome::Noop),
-        };
-        if !legal.iter().any(|&x| x) {
-            return Ok(PassOutcome::Skipped(SkipReason::NothingLegal));
-        }
-        let scheme = cx.options.coalesce.scheme;
-        let advice = lc_sched::advise::advise(&dims, &legal, params, &|band| {
-            per_iteration_cost(scheme, band)
-        });
-        state.band_override = Some(advice.band);
-        Ok(PassOutcome::Applied {
-            rewrites: (advice.band.1 - advice.band.0) as u64,
-        })
+    let needs_deps = opts.check_legality && valid_band;
+    if needs_deps {
+        cache.deps()?;
     }
+    let nest: &Nest = if opts.auto_normalize {
+        cache.normalized_ref()
+    } else {
+        cache.nest_ref()
+    };
+    let deps = if needs_deps {
+        Some(cache.deps_ref())
+    } else {
+        None
+    };
+    coalesce_band(nest, deps, opts)
 }
 
-/// Pass 5: the coalescing transformation, constant path first with the
-/// symbolic fallback — byte-for-byte the facade pipeline's routing, but
-/// with every analysis drawn from the cache instead of recomputed.
-pub struct CoalescePass;
-
-impl CoalescePass {
-    /// Run the constant-trip-count path with cached analyses. Replicates
-    /// `coalesce_loop` = normalize (cached) + `coalesce_band`, injecting
-    /// the cached dependence analysis exactly when `coalesce_band` would
-    /// compute one (legality checking on, band valid).
-    fn constant_path(
-        cx: &mut PassCx<'_>,
-        opts: &lc_xform::coalesce::CoalesceOptions,
-        depth: usize,
-    ) -> Result<CoalesceResult> {
-        let (s, e) = opts.levels.unwrap_or((0, depth));
-        let valid_band = s < e && e <= depth;
-        if opts.auto_normalize {
-            cx.cache.normalized()?;
-        } else {
-            require_normalized(&cx.cache.nest().loops)?;
-        }
-        let needs_deps = opts.check_legality && valid_band;
-        if needs_deps {
-            cx.cache.deps()?;
-        }
-        let nest: &Nest = if opts.auto_normalize {
-            cx.cache.normalized_ref()
-        } else {
-            cx.cache.nest_ref()
-        };
-        let deps = if needs_deps {
-            Some(cx.cache.deps_ref())
-        } else {
-            None
-        };
-        coalesce_band(nest, deps, opts)
-    }
-}
-
-impl Pass for CoalescePass {
-    fn name(&self) -> &'static str {
-        "coalesce"
-    }
-
-    fn structural(&self) -> bool {
-        true
-    }
-
-    fn run(&self, state: &mut NestState, cx: &mut PassCx<'_>) -> Result<PassOutcome> {
-        if state.decision.is_some() {
-            return Ok(PassOutcome::Noop);
-        }
-        let depth = cx.cache.nest().depth();
-        let mut opts = cx.options.coalesce.clone().clamped_to_depth(depth);
-        if let Some(band) = state.band_override {
-            opts.levels = Some(band);
-        }
-        let band = opts.levels.unwrap_or((0, depth));
-        let width = band.1.saturating_sub(band.0) as u64;
-
-        match Self::constant_path(cx, &opts, depth) {
-            Ok(result) => {
-                state.decision = Some(Decision::Coalesced {
-                    stmts: result.stmts(),
-                    info: result.info,
-                });
-                Ok(PassOutcome::Applied { rewrites: width })
-            }
-            Err(Error::Unsupported(reason)) if reason.is_symbolic() => {
-                // Normalization needs constant trip counts; retry on the
-                // raw nest, where the per-level emitter computes symbolic
-                // strides at run time.
-                match coalesce_band(cx.cache.nest_ref(), None, &opts) {
-                    Ok(result) => {
-                        state.decision = Some(Decision::Coalesced {
-                            stmts: result.stmts(),
-                            info: result.info,
-                        });
-                        Ok(PassOutcome::Applied { rewrites: width })
-                    }
-                    Err(Error::Unsupported(fallback)) => {
-                        state.decision = Some(Decision::Skipped(Skip {
-                            nest: state.index,
-                            reason: reason.clone(),
-                            fallback: Some(fallback),
-                        }));
-                        Ok(PassOutcome::Skipped(reason))
-                    }
-                    Err(other) => Err(other),
-                }
-            }
-            Err(Error::Unsupported(reason)) => {
-                state.decision = Some(Decision::Skipped(Skip {
-                    nest: state.index,
-                    reason: reason.clone(),
-                    fallback: None,
-                }));
-                Ok(PassOutcome::Skipped(reason))
-            }
-            Err(other) => Err(other),
-        }
-    }
-}
-
-/// Pass 6: recovery strength reduction reporting.
+/// Recovery strength reduction reporting.
 ///
 /// The common-subexpression extraction over recovery statements is fused
 /// into `coalesce_band`'s emission (it needs the fresh-temp namespace
 /// computed there), so this pass does not rewrite — it reports the
 /// per-iteration cost units the CSE saved, making the paper's
 /// strength-reduction remark visible in the trace.
-pub struct StrengthReducePass;
-
-impl Pass for StrengthReducePass {
-    fn name(&self) -> &'static str {
-        "strength-reduce"
+fn strength_reduce(nest: &NestState, options: &DriverOptions) -> TraceOutcome {
+    if !options.coalesce.strength_reduce {
+        return Noop;
     }
-
-    fn run(&self, state: &mut NestState, cx: &mut PassCx<'_>) -> Result<PassOutcome> {
-        if !cx.options.coalesce.strength_reduce {
-            return Ok(PassOutcome::Noop);
-        }
-        match &state.decision {
-            Some(Decision::Coalesced { info, .. }) if !info.dims.is_empty() => {
-                let naive = per_iteration_cost(info.scheme, &info.dims).units();
-                let saved = naive.saturating_sub(info.recovery_cost_per_iteration);
-                Ok(PassOutcome::Applied { rewrites: saved })
+    match &nest.decision {
+        Some(Decision::Coalesced { info, .. }) if !info.dims.is_empty() => {
+            let naive = per_iteration_cost(info.scheme, &info.dims).units();
+            Applied {
+                rewrites: naive.saturating_sub(info.recovery_cost_per_iteration),
             }
-            _ => Ok(PassOutcome::Noop),
         }
+        _ => Noop,
     }
 }

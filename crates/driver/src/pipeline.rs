@@ -1,25 +1,21 @@
-//! The [`PassManager`]: a data-driven pass pipeline over a program,
-//! timing every pass invocation into a [`PipelineTrace`].
+//! The [`Driver`]: a pass pipeline over whole programs, timing every
+//! pass invocation into a [`PipelineTrace`].
 //!
-//! The pipeline is a *list of pass names* resolved through the
-//! [`pass_by_name`] registry: [`DEFAULT_PASS_ORDER`] reproduces the
-//! paper's presentation, [`DriverOptions::pass_order`] reorders or
-//! subsets it, and [`PassManager::with_pipeline`] accepts any explicit
-//! order for tests and tooling.
+//! The pipeline is a *list of pass names*: [`DEFAULT_PASS_ORDER`]
+//! reproduces the paper's presentation, and [`Driver::with_pipeline`]
+//! accepts any subset or reordering of it for tests and tooling.
 
 use std::time::Instant;
 
+use lc_ir::parser::parse_program;
 use lc_ir::printer::print_program;
 use lc_ir::program::Program;
 use lc_ir::stmt::Stmt;
 use lc_ir::Result;
 use lc_xform::validate::check_equivalent;
 
-use crate::cache::NestAnalyses;
-use crate::pass::{
-    AdvisePass, AnalyzePass, CoalescePass, Decision, InterchangePass, NestState, NormalizePass,
-    Pass, PassCx, PerfectionPass, StrengthReducePass,
-};
+use crate::batch::{self, BatchItem};
+use crate::pass::{Decision, NestState, Pass};
 use crate::trace::{PipelineTrace, TraceEvent, TraceOutcome};
 use crate::{DriverOptions, DriverOutput};
 
@@ -43,68 +39,55 @@ pub const DEFAULT_PASS_ORDER: [&str; 7] = [
     "strength-reduce",
 ];
 
-/// The pass registry: resolve a pipeline name to its pass. Every name in
-/// [`DEFAULT_PASS_ORDER`] is registered; `None` means the name is
-/// unknown.
-pub fn pass_by_name(name: &str) -> Option<Box<dyn Pass>> {
-    Some(match name {
-        "analyze" => Box::new(AnalyzePass) as Box<dyn Pass>,
-        "normalize" => Box::new(NormalizePass),
-        "perfect" => Box::new(PerfectionPass),
-        "interchange" => Box::new(InterchangePass),
-        "advise" => Box::new(AdvisePass),
-        "coalesce" => Box::new(CoalescePass),
-        "strength-reduce" => Box::new(StrengthReducePass),
-        _ => return None,
-    })
-}
-
-/// Runs the pass pipeline over whole programs.
+/// The single entry point: a configured pass pipeline ready to compile
+/// programs (and batches of programs).
 ///
-/// The manager is immutable after construction (passes are stateless),
-/// so one instance can serve many compilations — including concurrently
-/// from [`crate::batch::compile_batch`] workers.
-pub struct PassManager {
-    passes: Vec<Box<dyn Pass>>,
+/// A driver is immutable after construction (passes are stateless), so
+/// one instance can serve many compilations — including concurrently
+/// from [`Driver::compile_batch`] workers.
+pub struct Driver {
     options: DriverOptions,
+    passes: Vec<Pass>,
 }
 
-impl PassManager {
-    /// Build the pipeline from [`DriverOptions::pass_order`] when set,
-    /// falling back to [`DEFAULT_PASS_ORDER`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `options.pass_order` names a pass that is not in the
-    /// [`pass_by_name`] registry — a configuration bug, not an input
-    /// error. Use [`PassManager::with_pipeline`] for a fallible build.
-    pub fn standard(options: DriverOptions) -> Self {
-        let order: Vec<String> = match &options.pass_order {
-            Some(o) => o.clone(),
-            None => DEFAULT_PASS_ORDER.iter().map(|s| s.to_string()).collect(),
-        };
-        let names: Vec<&str> = order.iter().map(String::as_str).collect();
-        Self::with_pipeline(options, &names)
-            .unwrap_or_else(|e| panic!("invalid DriverOptions::pass_order: {e}"))
+impl Default for Driver {
+    fn default() -> Self {
+        Driver::new(DriverOptions::default())
+    }
+}
+
+impl Driver {
+    /// Build a driver running [`DEFAULT_PASS_ORDER`] under `options`.
+    pub fn new(options: DriverOptions) -> Self {
+        Driver::with_pipeline(options, &DEFAULT_PASS_ORDER)
+            .expect("every pass in DEFAULT_PASS_ORDER exists")
     }
 
-    /// Build a pipeline running exactly the named passes, in order.
-    /// Names resolve through [`pass_by_name`]; an unknown name is
-    /// reported, not panicked.
+    /// Build a driver running exactly the named passes, in order. An
+    /// unknown pass name is reported as an error — the entry point for
+    /// callers assembling pipelines from untrusted or generated input,
+    /// such as the differential fuzzer permuting [`DEFAULT_PASS_ORDER`].
     pub fn with_pipeline(
         options: DriverOptions,
         order: &[&str],
     ) -> std::result::Result<Self, String> {
-        let mut passes = Vec::with_capacity(order.len());
-        for name in order {
-            passes.push(pass_by_name(name).ok_or_else(|| {
-                format!(
-                    "unknown pass `{name}` (registered: {})",
-                    DEFAULT_PASS_ORDER.join(", ")
-                )
-            })?);
-        }
-        Ok(PassManager { passes, options })
+        let passes = order
+            .iter()
+            .map(|name| {
+                Pass::parse(name).ok_or_else(|| {
+                    format!(
+                        "unknown pass `{name}` (known: {})",
+                        DEFAULT_PASS_ORDER.join(", ")
+                    )
+                })
+            })
+            .collect::<std::result::Result<_, _>>()?;
+        Ok(Driver { options, passes })
+    }
+
+    /// Names of the configured pipeline's passes, in order.
+    pub fn pass_names(&self) -> Vec<&'static str> {
+        self.passes.iter().map(|p| p.name()).collect()
     }
 
     /// The configured options.
@@ -112,9 +95,33 @@ impl PassManager {
         &self.options
     }
 
-    /// Names of the pipeline's passes, in order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
+    /// A stable fingerprint of everything that can change a
+    /// compilation's output: the options and the pass list. Two drivers
+    /// with equal fingerprints produce byte-identical results for the
+    /// same source, so the fingerprint (hashed together with the source)
+    /// is a sound compile-cache key — the serving layer builds its
+    /// content-addressed cache on exactly this.
+    ///
+    /// The options part is their `Debug` rendering: every field of
+    /// [`DriverOptions`] and the types it holds derives `Debug`
+    /// structurally, so any field change — including future added
+    /// fields — changes the fingerprint.
+    pub fn fingerprint(&self) -> String {
+        format!("{:?} {:?}", self.options, self.pass_names())
+    }
+
+    /// Parse DSL source and compile it.
+    pub fn compile(&self, src: &str) -> Result<DriverOutput> {
+        self.compile_program(&parse_program(src)?)
+    }
+
+    /// Compile every source in parallel on a self-scheduled worker
+    /// pool. Results preserve input order and are identical to calling
+    /// [`Driver::compile`] sequentially; each [`BatchItem`] additionally
+    /// records its own wall time, and a panic while compiling one item
+    /// becomes that item's error instead of aborting the batch.
+    pub fn compile_batch<S: AsRef<str> + Sync>(&self, sources: &[S]) -> Vec<BatchItem> {
+        batch::compile_batch(self, sources)
     }
 
     /// Compile one program: run every pass over every top-level loop
@@ -139,60 +146,16 @@ impl PassManager {
                 transformed.body.push(stmt.clone());
                 continue;
             };
-            let mut cache = NestAnalyses::new(l);
-            let mut state = NestState::with_env(idx, env.clone());
+            let mut nest = NestState::new(idx, l, env.clone());
             lc_lint::absorb_stmt(&mut env, stmt);
-            for pass in &self.passes {
+            for &pass in &self.passes {
                 let start = Instant::now();
-                let outcome = {
-                    let mut cx = PassCx {
-                        options: &self.options,
-                        cache: &mut cache,
-                    };
-                    pass.run(&mut state, &mut cx)?
-                };
-                let applied = matches!(outcome, crate::pass::PassOutcome::Applied { .. });
-                let mapped = match outcome {
-                    crate::pass::PassOutcome::Applied { rewrites } => {
-                        TraceOutcome::Applied { rewrites }
-                    }
-                    crate::pass::PassOutcome::Skipped(reason) => TraceOutcome::Skipped { reason },
-                    crate::pass::PassOutcome::Noop => TraceOutcome::Noop,
-                    crate::pass::PassOutcome::Analyzed { findings, per_lint } => {
-                        // One event per lint that ran, then the stage
-                        // summary below.
-                        for (code, nanos) in per_lint {
-                            let fired = findings.iter().filter(|f| f.code == code).count() as u64;
-                            let denied = findings
-                                .iter()
-                                .filter(|f| f.code == code && f.severity == lc_lint::Severity::Deny)
-                                .count() as u64;
-                            trace.events.push(TraceEvent {
-                                nest: Some(idx),
-                                pass: format!("lint:{code}"),
-                                outcome: TraceOutcome::Analyzed {
-                                    findings: fired,
-                                    denied,
-                                },
-                                nanos,
-                            });
-                        }
-                        let denied = findings
-                            .iter()
-                            .filter(|f| f.severity == lc_lint::Severity::Deny)
-                            .count() as u64;
-                        let total = findings.len() as u64;
-                        lints.extend(findings);
-                        TraceOutcome::Analyzed {
-                            findings: total,
-                            denied,
-                        }
-                    }
-                };
+                let outcome = pass.run(&mut nest, &self.options, &mut trace.events, &mut lints)?;
+                let applied = matches!(outcome, TraceOutcome::Applied { .. });
                 trace.events.push(TraceEvent {
                     nest: Some(idx),
                     pass: pass.name().to_string(),
-                    outcome: mapped,
+                    outcome,
                     nanos: start.elapsed().as_nanos().max(1) as u64,
                 });
                 // Per-pass validation hook: after every structural
@@ -202,9 +165,9 @@ impl PassManager {
                     let vstart = Instant::now();
                     let mut candidate = original.clone();
                     candidate.body.remove(idx);
-                    let current: Vec<Stmt> = match &state.decision {
+                    let current: Vec<Stmt> = match &nest.decision {
                         Some(Decision::Coalesced { stmts, .. }) => stmts.clone(),
-                        _ => vec![Stmt::Loop(cache.current().clone())],
+                        _ => vec![Stmt::Loop(nest.cache.current().clone())],
                     };
                     for (off, s) in current.into_iter().enumerate() {
                         candidate.body.insert(idx + off, s);
@@ -218,8 +181,8 @@ impl PassManager {
                     });
                 }
             }
-            trace.cache.absorb(&cache.stats);
-            match state.decision {
+            trace.cache.absorb(&nest.cache.stats);
+            match nest.decision {
                 Some(Decision::Coalesced { stmts, info }) => {
                     transformed.body.extend(stmts);
                     coalesced.push(info);

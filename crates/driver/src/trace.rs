@@ -1,12 +1,12 @@
 //! Per-pass observability: timed, serializable pipeline traces.
 //!
-//! Every pass invocation the [`crate::PassManager`] makes is recorded as
+//! Every pass invocation the [`crate::Driver`] makes is recorded as
 //! a [`TraceEvent`]: which nest, which pass, what happened
 //! ([`TraceOutcome`]), and how long it took (nanoseconds, clamped to a
 //! minimum of 1 so "this pass ran" is always distinguishable from "this
 //! pass never ran"). The whole [`PipelineTrace`] serializes to JSON (see
-//! [`crate::json`] for why not serde) and back, and renders as a
-//! human-readable report.
+//! [`crate::json`] for why not serde) and renders as a human-readable
+//! report.
 
 use std::fmt::Write as _;
 
@@ -216,47 +216,6 @@ impl PipelineTrace {
     pub fn to_json_string(&self) -> String {
         self.to_json().to_string()
     }
-
-    /// Deserialize a trace from [`PipelineTrace::to_json`] output.
-    pub fn from_json(v: &Json) -> Result<PipelineTrace, String> {
-        let mut events = Vec::new();
-        for e in v
-            .field("events")?
-            .as_arr()
-            .ok_or("`events` is not an array")?
-        {
-            let nest = match e.field("nest")? {
-                Json::Null => None,
-                Json::Int(n) => Some(*n as usize),
-                _ => return Err("`nest` must be null or an integer".into()),
-            };
-            events.push(TraceEvent {
-                nest,
-                pass: e.str_field("pass")?.to_string(),
-                outcome: outcome_from_json(e.field("outcome")?)?,
-                nanos: e.int_field("nanos")? as u64,
-            });
-        }
-        let c = v.field("cache")?;
-        let cache = CacheStats {
-            nest_computed: c.int_field("nest_computed")? as u64,
-            nest_hits: c.int_field("nest_hits")? as u64,
-            normalize_computed: c.int_field("normalize_computed")? as u64,
-            normalize_hits: c.int_field("normalize_hits")? as u64,
-            deps_computed: c.int_field("deps_computed")? as u64,
-            deps_hits: c.int_field("deps_hits")? as u64,
-        };
-        Ok(PipelineTrace {
-            events,
-            cache,
-            total_nanos: v.int_field("total_nanos")? as u64,
-        })
-    }
-
-    /// Deserialize from a JSON string.
-    pub fn from_json_string(src: &str) -> Result<PipelineTrace, String> {
-        PipelineTrace::from_json(&Json::parse(src)?)
-    }
 }
 
 fn outcome_to_json(o: &TraceOutcome) -> Json {
@@ -276,24 +235,6 @@ fn outcome_to_json(o: &TraceOutcome) -> Json {
             ("findings", Json::Int(*findings as i64)),
             ("denied", Json::Int(*denied as i64)),
         ]),
-    }
-}
-
-fn outcome_from_json(v: &Json) -> Result<TraceOutcome, String> {
-    match v.str_field("kind")? {
-        "applied" => Ok(TraceOutcome::Applied {
-            rewrites: v.int_field("rewrites")? as u64,
-        }),
-        "skipped" => Ok(TraceOutcome::Skipped {
-            reason: skip_reason_from_json(v.field("reason")?)?,
-        }),
-        "noop" => Ok(TraceOutcome::Noop),
-        "validated" => Ok(TraceOutcome::Validated),
-        "analyzed" => Ok(TraceOutcome::Analyzed {
-            findings: v.int_field("findings")? as u64,
-            denied: v.int_field("denied")? as u64,
-        }),
-        other => Err(format!("unknown outcome kind `{other}`")),
     }
 }
 
@@ -378,63 +319,6 @@ pub fn skip_reason_to_json(r: &SkipReason) -> Json {
     }
 }
 
-/// Deserialize a [`SkipReason`] from [`skip_reason_to_json`] output.
-pub fn skip_reason_from_json(v: &Json) -> Result<SkipReason, String> {
-    let var = |k: &str| -> Result<Symbol, String> { Ok(Symbol::new(v.str_field(k)?)) };
-    Ok(match v.str_field("kind")? {
-        "band-out-of-range" => SkipReason::BandOutOfRange {
-            start: v.int_field("start")? as usize,
-            end: v.int_field("end")? as usize,
-            depth: v.int_field("depth")? as usize,
-        },
-        "carried-dependence" => SkipReason::CarriedDependence {
-            level: v.int_field("level")? as usize,
-            var: var("var")?,
-        },
-        "not-doall" => SkipReason::NotDoall { var: var("var")? },
-        "not-doall-unchecked" => SkipReason::NotDoallUnchecked,
-        "scalar-reduction" => SkipReason::ScalarReduction { var: var("var")? },
-        "symbolic-bound" => SkipReason::SymbolicBound {
-            var: var("var")?,
-            part: match v.str_field("part")? {
-                "lower" => BoundPart::Lower,
-                "upper" => BoundPart::Upper,
-                "step" => BoundPart::Step,
-                p => return Err(format!("unknown bound part `{p}`")),
-            },
-        },
-        "symbolic-bounds" => SkipReason::SymbolicBounds,
-        "not-normalized" => SkipReason::NotNormalized { var: var("var")? },
-        "not-unit-normalized" => SkipReason::NotUnitNormalized { var: var("var")? },
-        "variant-bound" => SkipReason::VariantBound {
-            var: var("var")?,
-            dep: var("dep")?,
-        },
-        "interchange-out-of-range" => SkipReason::InterchangeOutOfRange {
-            level: v.int_field("level")? as usize,
-            depth: v.int_field("depth")? as usize,
-        },
-        "not-rectangular" => SkipReason::NotRectangular {
-            var: var("var")?,
-            other: var("other")?,
-        },
-        "interchange-illegal" => SkipReason::InterchangeIllegal {
-            level: v.int_field("level")? as usize,
-            array: var("array")?,
-        },
-        "imperfect-nest" => SkipReason::ImperfectNest {
-            found: v.int_field("found")? as usize,
-        },
-        "nothing-legal" => SkipReason::NothingLegal,
-        "lint-denied" => SkipReason::LintDenied {
-            code: v.str_field("code")?.to_string(),
-            message: v.str_field("message")?.to_string(),
-        },
-        "other" => SkipReason::Other(v.str_field("message")?.to_string()),
-        other => return Err(format!("unknown skip reason kind `{other}`")),
-    })
-}
-
 /// Serialize one `lc-lint` [`Finding`](lc_lint::Finding) as a JSON
 /// object, mirroring `lc_lint::render::finding_to_json`'s key order so
 /// service envelopes and the CLI agree on the schema.
@@ -468,45 +352,63 @@ mod tests {
     use super::*;
 
     #[test]
-    fn trace_round_trips_through_json() {
-        let trace = PipelineTrace {
-            events: vec![
-                TraceEvent {
-                    nest: Some(0),
-                    pass: "normalize".into(),
-                    outcome: TraceOutcome::Applied { rewrites: 2 },
-                    nanos: 120,
-                },
-                TraceEvent {
-                    nest: Some(0),
-                    pass: "coalesce".into(),
-                    outcome: TraceOutcome::Skipped {
-                        reason: SkipReason::CarriedDependence {
-                            level: 1,
-                            var: Symbol::new("i"),
-                        },
-                    },
-                    nanos: 340,
-                },
-                TraceEvent {
-                    nest: None,
-                    pass: "validate".into(),
-                    outcome: TraceOutcome::Validated,
-                    nanos: 999,
-                },
-            ],
-            cache: CacheStats {
-                nest_computed: 1,
-                nest_hits: 3,
-                normalize_computed: 1,
-                normalize_hits: 2,
-                deps_computed: 1,
-                deps_hits: 1,
+    fn skip_reason_kinds_are_distinct() {
+        let var = Symbol::new("i");
+        let reasons = [
+            SkipReason::BandOutOfRange {
+                start: 0,
+                end: 3,
+                depth: 2,
             },
-            total_nanos: 5000,
-        };
-        let text = trace.to_json_string();
-        assert_eq!(PipelineTrace::from_json_string(&text).unwrap(), trace);
+            SkipReason::CarriedDependence {
+                level: 1,
+                var: var.clone(),
+            },
+            SkipReason::NotDoall { var: var.clone() },
+            SkipReason::NotDoallUnchecked,
+            SkipReason::ScalarReduction { var: var.clone() },
+            SkipReason::SymbolicBound {
+                var: var.clone(),
+                part: BoundPart::Upper,
+            },
+            SkipReason::SymbolicBounds,
+            SkipReason::NotNormalized { var: var.clone() },
+            SkipReason::NotUnitNormalized { var: var.clone() },
+            SkipReason::VariantBound {
+                var: var.clone(),
+                dep: Symbol::new("n"),
+            },
+            SkipReason::InterchangeOutOfRange { level: 3, depth: 2 },
+            SkipReason::NotRectangular {
+                var: var.clone(),
+                other: Symbol::new("j"),
+            },
+            SkipReason::InterchangeIllegal {
+                level: 0,
+                array: Symbol::new("A"),
+            },
+            SkipReason::ImperfectNest { found: 2 },
+            SkipReason::NothingLegal,
+            SkipReason::LintDenied {
+                code: "LC001".into(),
+                message: "race".into(),
+            },
+            SkipReason::Other("free-form".into()),
+        ];
+        let kinds: Vec<String> = reasons
+            .iter()
+            .map(|r| {
+                let json = skip_reason_to_json(r);
+                json.get("kind").and_then(Json::as_str).unwrap().to_string()
+            })
+            .collect();
+        for (a, ka) in kinds.iter().enumerate() {
+            for kb in &kinds[a + 1..] {
+                assert_ne!(ka, kb, "two variants share the kind `{ka}`");
+            }
+            let is_other = matches!(reasons[a], SkipReason::Other(_));
+            assert_eq!(ka == "other", is_other, "{:?} has kind `{ka}`", reasons[a]);
+        }
     }
 
     #[test]

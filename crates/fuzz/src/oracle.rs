@@ -224,7 +224,6 @@ pub fn random_options(rng: &mut Rng) -> DriverOptions {
         enable_interchange: !rng.chance(1, 8),
         validate: false,
         advise: None,
-        pass_order: None,
         validate_each_pass: false,
         lints: random_lints(rng),
     };

@@ -225,7 +225,6 @@ fn fuzz_regression_{name}() {{
         enable_interchange: {enable_interchange},
         validate: false,
         advise: None,
-        pass_order: None,
         validate_each_pass: {validate_each_pass},
         lints: lc_lint::LintSet::all_allow(){lint_chain},
     }};

@@ -266,12 +266,18 @@ impl Parser {
         let _ = self.bump(); // "array"
         let name = self.expect_ident()?;
         let mut dims = Vec::new();
+        // The cell count, checked as it grows: a declaration whose extents
+        // multiply past `usize` can never be allocated or indexed.
+        let mut cells: usize = 1;
         while self.peek_is_punct("[") {
             self.expect_punct("[")?;
             let v = self.expect_int()?;
             if v < 0 {
                 return Err(self.err("array extent must be non-negative"));
             }
+            cells = cells
+                .checked_mul(v as usize)
+                .ok_or_else(|| self.err("array has more cells than fit in memory"))?;
             dims.push(v as usize);
             self.expect_punct("]")?;
         }

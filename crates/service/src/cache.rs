@@ -1,9 +1,9 @@
 //! A sharded, content-addressed LRU cache for compile results.
 //!
 //! Keys are FNV-1a hashes of the request source text mixed with the
-//! driver-options fingerprint ([`lc_driver::DriverOptions::fingerprint`]),
-//! so two servers configured differently never share entries and a
-//! config change invalidates the whole cache by construction.
+//! driver fingerprint ([`lc_driver::Driver::fingerprint`]: options plus
+//! pass list), so two servers configured differently never share entries
+//! and a config change invalidates the whole cache by construction.
 //!
 //! The map is split into shards, each behind its own mutex, so compile
 //! workers and connection threads touching different shards never

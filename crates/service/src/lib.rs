@@ -22,7 +22,7 @@
 //! # Semantics worth knowing
 //!
 //! * **Caching** — `/compile` responses are cached by FNV-1a over the
-//!   driver-options fingerprint and the source text. Hits are answered
+//!   driver fingerprint (options plus pass list) and the source text. Hits are answered
 //!   on the connection thread (never touching queue or workers) and are
 //!   byte-identical to the originally rendered body; `X-Cache: hit|miss`
 //!   says which path a response took.

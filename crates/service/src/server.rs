@@ -55,7 +55,7 @@ pub struct ServiceConfig {
     /// Socket read timeout (maps to `408`).
     pub read_timeout: Duration,
     /// Driver configuration; part of the cache key via
-    /// [`DriverOptions::fingerprint`].
+    /// [`Driver::fingerprint`].
     pub driver: DriverOptions,
     /// Test hook: make every worker sleep this long per job, so tests
     /// can fill the queue and expire deadlines deterministically.
@@ -115,7 +115,7 @@ impl Server {
         let listener = TcpListener::bind(bind_addr)?;
         let addr = listener.local_addr()?;
         let driver = Driver::new(config.driver.clone());
-        let fingerprint = config.driver.fingerprint();
+        let fingerprint = driver.fingerprint();
         let shared = Arc::new(Shared {
             cache: ShardedLru::new(config.cache_capacity, config.cache_shards),
             queue: BoundedQueue::new(config.queue_capacity),

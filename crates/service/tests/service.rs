@@ -303,6 +303,19 @@ fn malformed_requests_get_typed_statuses() {
 }
 
 #[test]
+fn array_too_large_to_address_is_a_422_and_the_server_survives() {
+    let server = facade_server(|_| {});
+    let addr = server.addr();
+    let src = "array A[4294967296][4294967296];
+doall i = 1..2 { doall j = 1..2 { A[i][j] = i; } }";
+    let resp = client::post(addr, "/compile", src.as_bytes(), TIMEOUT).unwrap();
+    assert_eq!(resp.status, 422, "body: {}", resp.body_text());
+    let health = client::get(addr, "/healthz", TIMEOUT).unwrap();
+    assert_eq!(health.status, 200);
+    server.shutdown();
+}
+
+#[test]
 fn analyze_reports_lint_findings_without_compiling() {
     // Default config: all lints at `warn`, so findings are reported but
     // nothing is denied.

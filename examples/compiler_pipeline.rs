@@ -7,6 +7,7 @@
 //! cargo run --example compiler_pipeline
 //! ```
 
+use loop_coalescing::driver::json::Json;
 use loop_coalescing::driver::{Driver, DriverOptions};
 use loop_coalescing::xform::coalesce::CoalesceOptions;
 
@@ -59,11 +60,15 @@ fn main() {
     print!("{}", out.trace.report());
 
     // The trace serializes without serde (hand-rolled JSON — the build
-    // is fully offline) and round-trips:
+    // is fully offline), one object per event:
     let json = out.trace.to_json_string();
-    let back = loop_coalescing::driver::PipelineTrace::from_json_string(&json).unwrap();
-    assert_eq!(back.cache, out.trace.cache);
-    println!("\ntrace JSON: {} bytes, round-trips OK", json.len());
+    let doc = Json::parse(&json).unwrap();
+    let events = doc
+        .get("events")
+        .and_then(Json::as_arr)
+        .map_or(0, <[_]>::len);
+    assert_eq!(events, out.trace.events.len());
+    println!("\ntrace JSON: {} bytes, {events} events", json.len());
 
     // ── 3. facade-compatible mode ───────────────────────────────────────
     //

@@ -10,17 +10,22 @@
 //! and **one** join — the transformation that survives today as OpenMP's
 //! `collapse` clause.
 //!
-//! The workspace is layered; this crate re-exports everything:
+//! The workspace is layered; this crate re-exports the linked layers
+//! below, and the last three are crates of their own:
 //!
 //! | layer | crate | contents |
 //! |---|---|---|
 //! | IR | [`ir`] | loop-nest IR, DSL parser, interpreter, dependence analysis |
-//! | transformation | [`xform`] | coalescing, normalization, interchange, strip-mining, recovery CSE |
+//! | transformation | [`xform`] | coalescing, normalization, interchange, nest perfection, recovery CSE |
+//! | driver | [`driver`] | one `Driver` running the pass pipeline over every nest, with traces, typed skips and batch compilation |
 //! | iteration space | [`space`] | strides, linearization, index recovery, odometer |
 //! | scheduling | [`sched`] | SS / CSS / GSS / TSS / factoring policies, dispatch counts, schedule-length bounds |
 //! | machine | [`machine`] | deterministic multiprocessor simulator with fetch&add cost model |
 //! | runtime | [`runtime`] | real-thread coalesced executor (`AtomicU64::fetch_add` dispatch) |
 //! | workloads | [`workloads`] | kernels (matmul, Gauss–Jordan, stencil, π) and cost models |
+//! | static analysis | `lc-lint` | LC001–LC005 race and legality lints, run by the driver's `analyze` pass |
+//! | serving | `lc-service` | the `lc-serve` compile server over one shared `Driver` |
+//! | fuzzing | `lc-fuzz` | differential fuzzer: seeded generator, interpreter oracle, shrinker |
 //!
 //! # Quickstart
 //!

@@ -169,6 +169,25 @@ fn trip_count_past_i64_max_is_exact_and_panics_nowhere() {
 }
 
 #[test]
+fn array_cell_count_past_usize_is_a_parse_error() {
+    // 2^32 × 2^32 cells is 2^64: the product overflows `usize`. Run in a
+    // debug build, where an overflowing multiplication panics.
+    let src = "
+        array A[4294967296][4294967296];
+        doall i = 1..2 {
+            doall j = 1..2 {
+                A[i][j] = i;
+            }
+        }
+    ";
+    let parsed = std::panic::catch_unwind(|| parse_program(src)).expect("parse_program panicked");
+    assert!(matches!(parsed, Err(Error::Parse { .. })), "{parsed:?}");
+    let compiled = std::panic::catch_unwind(|| Driver::new(DriverOptions::default()).compile(src))
+        .expect("Driver::compile panicked");
+    assert!(matches!(compiled, Err(Error::Parse { .. })), "{compiled:?}");
+}
+
+#[test]
 fn empty_and_degenerate_loops_flow_through_every_layer() {
     // Zero-trip nests coalesce to an empty loop and run cleanly.
     let out = coalesce_source(

@@ -50,7 +50,6 @@ doall i = 1..1 {
         enable_interchange: true,
         validate: false,
         advise: None,
-        pass_order: None,
         validate_each_pass: false,
         lints: lc_lint::LintSet::all_allow(),
     };
