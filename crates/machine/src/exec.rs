@@ -206,7 +206,7 @@ pub fn simulate_nest(
             // Walk the outer iteration space serially.
             let outer_total: u64 = outer_dims.iter().product();
             let mut iv = Vec::new();
-            for q in 0..outer_total.max(1) {
+            for q in 0..outer_total {
                 if outer_dims.is_empty() {
                     iv.clear();
                 } else {
@@ -362,6 +362,18 @@ mod tests {
             // mode adds recovery on top).
             assert!(r.body_work >= 300, "{}", mode.name());
         }
+    }
+
+    #[test]
+    fn zero_trip_outer_level_runs_no_body() {
+        let r = simulate_nest(
+            &[0, 5],
+            4,
+            ExecMode::InnerParallelSweep { schedule: dyn_ss() },
+            &CostModel::default(),
+            &UNIT,
+        );
+        assert_eq!((r.iterations, r.body_work, r.chunks), (0, 0, 0));
     }
 
     #[test]

@@ -1,18 +1,21 @@
 //! `lc-runtime` — a real multi-threaded executor for coalesced loops.
 //!
 //! The paper's dispatch mechanism is a hardware fetch&add on a shared
-//! counter; its exact software analogue is [`AtomicU64::fetch_add`] on a
-//! shared iteration counter, which is what this crate runs — on real
-//! threads (crossbeam's scoped threads), on the host machine — so the
+//! counter. Its software analogue here is one compare-and-swap on a
+//! shared [`AtomicU64`] iteration counter per claimed chunk, run on real
+//! threads (crossbeam's scoped threads) on the host machine, so the
 //! transformation can be demonstrated end-to-end rather than only under
-//! the simulator:
+//! the simulator. Chunk sizes come from [`lc_sched::PolicyKind`], the
+//! same rule the simulator and the analytic tables use: SS, CSS(k) and
+//! GSS size a chunk from the counter alone, so the CAS claims it without
+//! a lock; TSS and factoring depend on dispatch history and go through a
+//! mutex-guarded [`lc_sched::Dispenser`]. The CAS never moves the counter
+//! past the end of the range, so it cannot wrap near `u64::MAX`.
 //!
-//! * [`grabber`] — lock-free chunk acquisition: plain `fetch_add` for
-//!   SS/CSS, a CAS loop for GSS (chunk size depends on the remaining
-//!   count), and a mutex-guarded [`lc_sched::Dispenser`] for the
-//!   stateful policies (TSS, factoring).
-//! * [`parallel`] — the worker loop: `parallel_for` over a linear range
-//!   and the chunk-level primitive it is built on.
+//! * [`parallel`] — the worker pool every entry point runs on, plus
+//!   `parallel_for` over a linear range and the chunk-level primitive it
+//!   is built on. A panic in a loop body reaches the caller with its own
+//!   message.
 //! * [`nest`] — nest-level entry points mirroring the simulator's
 //!   execution modes: [`nest::coalesced_for`] (odometer-based index
 //!   recovery per chunk), [`nest::outer_for`] (parallel outer loop,
@@ -28,12 +31,12 @@
 //! * [`stats`] — per-worker counters (iterations, chunks, busy time) and
 //!   run-level aggregates.
 //!
-//! [`AtomicU64::fetch_add`]: std::sync::atomic::AtomicU64::fetch_add
+//! [`AtomicU64`]: std::sync::atomic::AtomicU64
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod grabber;
+mod grabber;
 pub mod nest;
 pub mod parallel;
 pub mod reduce;

@@ -65,7 +65,7 @@ where
 
     let mut acc = RunStats::default();
     let mut odo = Odometer::new(outer_dims);
-    for _ in 0..outer_total.max(1) {
+    for _ in 0..outer_total {
         let prefix: Vec<i64> = odo.indices().to_vec();
         let run = parallel_for(inner_n, opts, |ik| {
             let mut iv = Vec::with_capacity(dims.len());
@@ -179,6 +179,16 @@ mod tests {
         assert_eq!(stats.total_iterations(), 500);
         // One parallel loop per outer iteration.
         assert!(stats.elapsed.as_nanos() > 0);
+    }
+
+    #[test]
+    fn zero_trip_outer_level_runs_nothing() {
+        let calls = AtomicU64::new(0);
+        let stats = inner_sweep_for(&[0, 5], &opts(2, PolicyKind::SelfSched), |_| {
+            calls.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), 0);
+        assert_eq!(stats.total_iterations(), 0);
     }
 
     #[test]

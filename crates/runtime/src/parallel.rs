@@ -1,10 +1,11 @@
-//! The worker loop: scoped threads pulling chunks from a shared grabber.
+//! The worker pool: scoped threads pulling chunks from a shared grabber.
 
+use std::panic;
 use std::time::Instant;
 
 use lc_sched::policy::{Chunk, PolicyKind};
 
-use crate::grabber::make_grabber;
+use crate::grabber::Grabber;
 use crate::stats::{RunStats, WorkerStats};
 
 /// Options for a runtime execution.
@@ -38,6 +39,78 @@ impl RuntimeOptions {
     }
 }
 
+/// The one worker pool: runs `work` once on each of `threads` scoped
+/// threads, handing it the worker's [`WorkerStats`] to fill and the state
+/// `init()` made for it, and collects every worker's final state. Busy
+/// time covers the `work` call; `elapsed` covers fork to join. A panic in
+/// `work` reaches the caller with its own payload once every worker has
+/// stopped.
+pub(crate) fn run_workers<S, I, W>(
+    threads: usize,
+    policy: String,
+    mut init: I,
+    work: W,
+) -> (RunStats, Vec<S>)
+where
+    S: Send,
+    I: FnMut() -> S,
+    W: Fn(&mut WorkerStats, S) -> S + Sync,
+{
+    let started = Instant::now();
+    let joined: Vec<_> = crossbeam::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let (work, state) = (&work, init());
+                s.spawn(move |_| {
+                    let mut ws = WorkerStats::default();
+                    let t0 = Instant::now();
+                    let state = work(&mut ws, state);
+                    ws.busy = t0.elapsed();
+                    (ws, state)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    })
+    .unwrap_or_else(|payload| panic::resume_unwind(payload));
+    let (workers, states) = joined
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|payload| panic::resume_unwind(payload)))
+        .unzip();
+    let stats = RunStats {
+        elapsed: started.elapsed(),
+        threads,
+        policy,
+        workers,
+    };
+    (stats, states)
+}
+
+/// Self-schedule `0..n` under `opts`: every worker claims chunks from one
+/// shared [`Grabber`] and folds each into its own state with `step`.
+pub(crate) fn self_schedule<S, I, H>(
+    n: u64,
+    opts: &RuntimeOptions,
+    init: I,
+    step: H,
+) -> (RunStats, Vec<S>)
+where
+    S: Send,
+    I: FnMut() -> S,
+    H: Fn(S, Chunk) -> S + Sync,
+{
+    let threads = opts.resolved_threads();
+    let grabber = Grabber::new(n, threads, opts.policy);
+    run_workers(threads, opts.policy.name(), init, |ws, mut state| {
+        while let Some(chunk) = grabber.grab() {
+            ws.chunks += 1;
+            ws.iterations += chunk.len;
+            state = step(state, chunk);
+        }
+        state
+    })
+}
+
 /// Chunk-level parallel execution: every claimed [`Chunk`] is handed to
 /// `handler` exactly once, from whichever worker claimed it. This is the
 /// primitive `parallel_for` and the nest executors build on.
@@ -45,41 +118,7 @@ pub fn parallel_for_chunks<H>(n: u64, opts: &RuntimeOptions, handler: H) -> RunS
 where
     H: Fn(Chunk) + Sync,
 {
-    let threads = opts.resolved_threads();
-    let grabber = make_grabber(n, threads, opts.policy);
-    let started = Instant::now();
-
-    let workers: Vec<WorkerStats> = crossbeam::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let grabber = &grabber;
-                let handler = &handler;
-                s.spawn(move |_| {
-                    let mut ws = WorkerStats::default();
-                    let t0 = Instant::now();
-                    while let Some(chunk) = grabber.grab() {
-                        ws.chunks += 1;
-                        ws.iterations += chunk.len;
-                        handler(chunk);
-                    }
-                    ws.busy = t0.elapsed();
-                    ws
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
-    .expect("scope failed");
-
-    RunStats {
-        elapsed: started.elapsed(),
-        threads,
-        policy: opts.policy.name(),
-        workers,
-    }
+    self_schedule(n, opts, || (), |(), chunk| handler(chunk)).0
 }
 
 /// Parallel loop over `0..n`: `body(i)` is called exactly once per index,
@@ -173,6 +212,16 @@ mod tests {
             policy: PolicyKind::Guided,
         };
         assert!(o.resolved_threads() >= 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "boom at 50")]
+    fn a_panicking_body_keeps_its_message() {
+        parallel_for(100, &opts(2, PolicyKind::SelfSched), |i| {
+            if i == 50 {
+                panic!("boom at {i}");
+            }
+        });
     }
 
     #[test]

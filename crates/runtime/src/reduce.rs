@@ -7,11 +7,8 @@
 //! [`parallel_reduce`] packages that pattern over the same fetch&add
 //! dispatch as [`crate::parallel_for`].
 
-use std::time::Instant;
-
-use crate::grabber::make_grabber;
-use crate::parallel::RuntimeOptions;
-use crate::stats::{RunStats, WorkerStats};
+use crate::parallel::{self_schedule, RuntimeOptions};
+use crate::stats::RunStats;
 
 /// Reduce `map(0) ⊕ map(1) ⊕ … ⊕ map(n-1)` in parallel.
 ///
@@ -32,54 +29,13 @@ where
     M: Fn(u64) -> T + Sync,
     F: Fn(T, T) -> T + Sync + Send,
 {
-    let threads = opts.resolved_threads();
-    let grabber = make_grabber(n, threads, opts.policy);
-    let started = Instant::now();
-
-    let results: Vec<(WorkerStats, T)> = crossbeam::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let grabber = &grabber;
-                let map = &map;
-                let fold = &fold;
-                let mut acc = identity.clone();
-                s.spawn(move |_| {
-                    let mut ws = WorkerStats::default();
-                    let t0 = Instant::now();
-                    while let Some(chunk) = grabber.grab() {
-                        ws.chunks += 1;
-                        ws.iterations += chunk.len;
-                        for i in chunk.start..chunk.end() {
-                            acc = fold(acc, map(i));
-                        }
-                    }
-                    ws.busy = t0.elapsed();
-                    (ws, acc)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
-    .expect("scope failed");
-
-    let mut workers = Vec::with_capacity(threads);
-    let mut total = identity;
-    for (ws, partial) in results {
-        workers.push(ws);
-        total = fold(total, partial);
-    }
-    (
-        total,
-        RunStats {
-            elapsed: started.elapsed(),
-            threads,
-            policy: opts.policy.name(),
-            workers,
-        },
-    )
+    let (stats, partials) = self_schedule(
+        n,
+        opts,
+        || identity.clone(),
+        |acc, chunk| (chunk.start..chunk.end()).fold(acc, |acc, i| fold(acc, map(i))),
+    );
+    (partials.into_iter().fold(identity, &fold), stats)
 }
 
 /// Convenience: integer sum of `map(i)` over `0..n`.
@@ -143,6 +99,23 @@ mod tests {
         });
         let pi = sum as f64 / 1e9;
         assert!((pi - std::f64::consts::PI).abs() < 1e-3, "pi ≈ {pi}");
+    }
+
+    #[test]
+    #[should_panic(expected = "boom at 50")]
+    fn a_panicking_map_keeps_its_message() {
+        parallel_reduce(
+            100,
+            &opts(2, PolicyKind::Guided),
+            0i64,
+            |i| {
+                if i == 50 {
+                    panic!("boom at {i}");
+                }
+                i as i64
+            },
+            |a, b| a + b,
+        );
     }
 
     #[test]

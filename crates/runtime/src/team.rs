@@ -10,35 +10,35 @@
 //! fixes that too) and per-instance dispatch + barrier (only coalescing
 //! fixes that).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
-use std::time::Instant;
 
+use lc_sched::policy::PolicyKind;
 use lc_space::{total_iterations, Odometer};
 
-use crate::parallel::RuntimeOptions;
+use crate::grabber::Grabber;
+use crate::parallel::{run_workers, RuntimeOptions};
 use crate::stats::{RunStats, WorkerStats};
 
 /// Execute the nest with the innermost loop parallel and the outer levels
 /// serial — like [`crate::inner_sweep_for`], but with one persistent
 /// thread team and a barrier between instances instead of a fork/join per
 /// instance. Dispatch within each instance is pure self-scheduling on a
-/// per-instance `fetch_add` counter (`opts.policy` is ignored; the
-/// instance trip counts are typically too small for chunking to matter).
+/// per-instance counter (`opts.policy` is ignored; the instance trip
+/// counts are typically too small for chunking to matter).
 pub fn team_sweep_for<F>(dims: &[u64], opts: &RuntimeOptions, body: F) -> RunStats
 where
     F: Fn(&[i64]) + Sync,
 {
     assert!(!dims.is_empty());
     let (outer_dims, inner_n) = (&dims[..dims.len() - 1], dims[dims.len() - 1]);
-    let outer_total = total_iterations(outer_dims)
-        .expect("iteration count overflows")
-        .max(1);
+    let outer_total = total_iterations(outer_dims).expect("iteration count overflows");
     let threads = opts.resolved_threads();
 
     // One dispatch counter per instance, pre-allocated so workers never
     // race on counter reset.
-    let counters: Vec<AtomicU64> = (0..outer_total).map(|_| AtomicU64::new(0)).collect();
+    let grabbers: Vec<Grabber> = (0..outer_total)
+        .map(|_| Grabber::new(inner_n, threads, PolicyKind::SelfSched))
+        .collect();
     // Pre-compute the outer index vectors once.
     let prefixes: Vec<Vec<i64>> = {
         let mut odo = Odometer::new(outer_dims);
@@ -51,59 +51,30 @@ where
             .collect()
     };
     let barrier = Barrier::new(threads);
-    let started = Instant::now();
 
-    let workers: Vec<WorkerStats> = crossbeam::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let counters = &counters;
-                let prefixes = &prefixes;
-                let barrier = &barrier;
-                let body = &body;
-                s.spawn(move |_| {
-                    let mut ws = WorkerStats::default();
-                    let t0 = Instant::now();
-                    let mut iv: Vec<i64> = Vec::with_capacity(prefixes[0].len() + 1);
-                    for (inst, prefix) in prefixes.iter().enumerate() {
-                        loop {
-                            let i = counters[inst].fetch_add(1, Ordering::Relaxed);
-                            if i >= inner_n {
-                                break;
-                            }
-                            ws.chunks += 1;
-                            ws.iterations += 1;
-                            iv.clear();
-                            iv.extend_from_slice(prefix);
-                            iv.push(i as i64 + 1);
-                            body(&iv);
-                        }
-                        barrier.wait();
-                    }
-                    ws.busy = t0.elapsed();
-                    ws
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
-    .expect("scope failed");
-
-    RunStats {
-        elapsed: started.elapsed(),
-        threads,
-        policy: "TEAM/SS".into(),
-        workers,
-    }
+    let team = |ws: &mut WorkerStats, ()| {
+        let mut iv: Vec<i64> = Vec::with_capacity(dims.len());
+        for (grabber, prefix) in grabbers.iter().zip(&prefixes) {
+            while let Some(chunk) = grabber.grab() {
+                ws.chunks += 1;
+                ws.iterations += chunk.len;
+                for i in chunk.start..chunk.end() {
+                    iv.clear();
+                    iv.extend_from_slice(prefix);
+                    iv.push(i as i64 + 1);
+                    body(&iv);
+                }
+            }
+            barrier.wait();
+        }
+    };
+    run_workers(threads, "TEAM/SS".into(), || (), team).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lc_sched::policy::PolicyKind;
-    use std::sync::atomic::AtomicU64 as Cell;
+    use std::sync::atomic::{AtomicU64 as Cell, Ordering};
 
     fn opts(threads: usize) -> RuntimeOptions {
         RuntimeOptions {
@@ -172,6 +143,18 @@ mod tests {
                 "instance {inst} observed after instance {prev}"
             );
         });
+    }
+
+    #[test]
+    fn zero_trip_outer_level_runs_nothing() {
+        for dims in [[0u64, 5], [5, 0]] {
+            let calls = Cell::new(0);
+            let stats = team_sweep_for(&dims, &opts(2), |_| {
+                calls.fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(calls.load(Ordering::Relaxed), 0, "{dims:?}");
+            assert_eq!(stats.total_iterations(), 0, "{dims:?}");
+        }
     }
 
     #[test]

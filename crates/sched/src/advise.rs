@@ -23,6 +23,9 @@
 
 use lc_ir::build::RecoveryCost;
 
+use crate::dispatch::single_loop_dispatch;
+use crate::policy::PolicyKind;
+
 /// Machine and workload parameters for the estimate. These mirror
 /// `lc_machine::CostModel` plus a constant per-iteration body cost.
 #[derive(Debug, Clone, Copy)]
@@ -73,20 +76,6 @@ pub struct Advice {
     pub candidates: Vec<BandEstimate>,
 }
 
-/// Number of GSS chunks for `n` iterations on `p` processors (counted
-/// exactly, not by the logarithmic approximation, so the estimate stays
-/// integer-exact).
-fn gss_chunk_count(n: u64, p: u64) -> u64 {
-    let mut remaining = n;
-    let mut chunks = 0;
-    while remaining > 0 {
-        let take = remaining.div_ceil(p).max(1);
-        remaining -= take.min(remaining);
-        chunks += 1;
-    }
-    chunks
-}
-
 /// Estimate the makespan of coalescing band `[s, e)` of `dims` under the
 /// given parameters. `recovery_cost(dims_band)` supplies the typed
 /// per-iteration index-recovery cost for a band (e.g.
@@ -121,7 +110,9 @@ pub fn estimate_band(
         + inner_headers * params.loop_overhead
         + inner * params.body_cost;
 
-    let chunks = gss_chunk_count(n_band, p);
+    // Counted exactly by a GSS dispenser, not by the logarithmic
+    // approximation, so the estimate stays integer-exact.
+    let chunks = single_loop_dispatch(n_band, p as usize, PolicyKind::Guided).chunks;
     // Dispatch on the critical path: each processor's share of the chunk
     // grabs plus its final empty grab.
     let dispatch = (chunks.div_ceil(p) + 1) * params.fetch_add;
@@ -182,17 +173,6 @@ mod tests {
         RecoveryCost {
             adds: units,
             ..RecoveryCost::default()
-        }
-    }
-
-    #[test]
-    fn gss_chunk_count_matches_dispenser() {
-        use crate::policy::{Dispenser, PolicyKind};
-        for (n, p) in [(1000u64, 4u64), (64, 16), (5, 8), (1, 1)] {
-            let want = Dispenser::with_kind(n, p as usize, PolicyKind::Guided)
-                .drain()
-                .len() as u64;
-            assert_eq!(gss_chunk_count(n, p), want, "n={n} p={p}");
         }
     }
 

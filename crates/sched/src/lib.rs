@@ -7,10 +7,13 @@
 //! implements the dispatch side of that argument, independent of both the
 //! IR (`lc-ir`) and the machine model (`lc-machine`):
 //!
-//! * [`policy`] — dynamic chunking policies: pure self-scheduling (SS),
-//!   chunked self-scheduling CSS(k), guided self-scheduling GSS (the
-//!   Polychronopoulos–Kuck companion policy), trapezoid self-scheduling
-//!   TSS, and factoring; plus static block/cyclic pre-assignments.
+//! * [`policy`] — the one copy of the chunk-size rule: [`PolicyKind`]
+//!   names pure self-scheduling (SS), chunked self-scheduling CSS(k),
+//!   guided self-scheduling GSS (the Polychronopoulos–Kuck companion
+//!   policy), trapezoid self-scheduling TSS and factoring, and the
+//!   [`Dispenser`] hands out chunks under it. The simulator, the advisor
+//!   and `lc-runtime`'s worker threads all size their chunks through it.
+//!   Static block/cyclic pre-assignments live here too.
 //! * [`dispatch`] — dispatch-operation accounting for coalesced vs nested
 //!   execution of a loop nest (the paper's synchronization-count tables).
 //! * [`bounds`] — static schedule-length bounds: `⌈N/p⌉` for the coalesced
@@ -32,4 +35,4 @@ pub mod policy;
 pub use advise::{advise, Advice, AdviseParams};
 pub use bounds::{best_processor_allocation, coalesced_block_length, nested_block_length};
 pub use dispatch::{coalesced_dispatch, nested_dispatch, DispatchStats};
-pub use policy::{Chunk, ChunkPolicy, Dispenser, PolicyKind, StaticKind};
+pub use policy::{Chunk, Dispenser, PolicyKind, StaticKind};

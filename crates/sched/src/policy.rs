@@ -1,11 +1,14 @@
 //! Dynamic chunking policies and the shared-counter dispenser.
 //!
-//! A *policy* decides how many consecutive iterations the next requesting
-//! processor receives, as a function of how many iterations remain and how
-//! many processors share the loop. The [`Dispenser`] wraps a policy around
-//! the shared iteration counter — the software analogue of the fetch&add
-//! dispatch the paper assumes — and counts the synchronized operations it
-//! performs.
+//! A [`PolicyKind`] decides how many consecutive iterations the next
+//! requesting processor receives. For SS, CSS(k) and GSS that is a function
+//! of how many iterations remain and how many processors share the loop
+//! ([`PolicyKind::chunk_for`]); TSS and factoring also depend on how many
+//! chunks went before. The [`Dispenser`] applies a policy to the shared
+//! iteration counter — the software analogue of the fetch&add dispatch the
+//! paper assumes — and counts the synchronized operations it performs.
+//! Every scheduler in the workspace (the analytic tables, the simulator,
+//! the advisor and the real-thread runtime) sizes its chunks here.
 
 use std::fmt;
 
@@ -22,156 +25,6 @@ impl Chunk {
     /// One-past-the-end iteration index.
     pub fn end(&self) -> u64 {
         self.start + self.len
-    }
-}
-
-/// A dynamic chunk-size policy.
-pub trait ChunkPolicy: Send {
-    /// Size of the next chunk. `remaining` is the number of undispatched
-    /// iterations (> 0) and `p` the number of processors sharing the loop.
-    /// Must return a value in `1..=remaining`.
-    fn next_chunk_size(&mut self, remaining: u64, p: usize) -> u64;
-
-    /// Display name for tables.
-    fn name(&self) -> String;
-}
-
-/// Self-scheduling: one iteration per dispatch (maximal balance, maximal
-/// synchronization traffic).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SelfSched;
-
-impl ChunkPolicy for SelfSched {
-    fn next_chunk_size(&mut self, _remaining: u64, _p: usize) -> u64 {
-        1
-    }
-    fn name(&self) -> String {
-        "SS".into()
-    }
-}
-
-/// Chunked self-scheduling CSS(k): a fixed `k` iterations per dispatch.
-#[derive(Debug, Clone, Copy)]
-pub struct Chunked(
-    /// The fixed chunk size `k ≥ 1`.
-    pub u64,
-);
-
-impl ChunkPolicy for Chunked {
-    fn next_chunk_size(&mut self, remaining: u64, _p: usize) -> u64 {
-        self.0.max(1).min(remaining)
-    }
-    fn name(&self) -> String {
-        format!("CSS({})", self.0)
-    }
-}
-
-/// Guided self-scheduling GSS: each dispatch takes `⌈remaining / p⌉`
-/// iterations, so chunks decay geometrically and the tail self-balances.
-#[derive(Debug, Clone, Copy)]
-pub struct Guided {
-    /// Smallest chunk ever handed out (classic GSS uses 1).
-    pub min_chunk: u64,
-}
-
-impl Default for Guided {
-    fn default() -> Self {
-        Guided { min_chunk: 1 }
-    }
-}
-
-impl ChunkPolicy for Guided {
-    fn next_chunk_size(&mut self, remaining: u64, p: usize) -> u64 {
-        let g = remaining.div_ceil(p.max(1) as u64);
-        g.max(self.min_chunk).min(remaining)
-    }
-    fn name(&self) -> String {
-        if self.min_chunk <= 1 {
-            "GSS".into()
-        } else {
-            format!("GSS(min={})", self.min_chunk)
-        }
-    }
-}
-
-/// Trapezoid self-scheduling TSS(f, l): chunk sizes decrease linearly from
-/// `first` to `last` over the life of the loop.
-#[derive(Debug, Clone)]
-pub struct Trapezoid {
-    first: u64,
-    last: u64,
-    /// Fixed-point (×1024) decrement per dispatch.
-    step_fp: u64,
-    /// Fixed-point (×1024) current size.
-    current_fp: u64,
-    started: bool,
-}
-
-impl Trapezoid {
-    /// Classic parameterization for a loop of `n` iterations on `p`
-    /// processors: `f = ⌈n / 2p⌉`, `l = 1`.
-    pub fn classic(n: u64, p: usize) -> Self {
-        let first = n.div_ceil(2 * p.max(1) as u64).max(1);
-        Trapezoid::new(first, 1, n)
-    }
-
-    /// TSS with explicit first/last chunk sizes for a loop of `n`
-    /// iterations.
-    pub fn new(first: u64, last: u64, n: u64) -> Self {
-        let first = first.max(1);
-        let last = last.clamp(1, first);
-        // Number of dispatches C = ⌈2n / (f + l)⌉; per-dispatch decrement
-        // δ = (f − l)/(C − 1).
-        let c = (2 * n).div_ceil(first + last).max(1);
-        let step_fp = if c > 1 {
-            ((first - last) * 1024) / (c - 1)
-        } else {
-            0
-        };
-        Trapezoid {
-            first,
-            last,
-            step_fp,
-            current_fp: first * 1024,
-            started: false,
-        }
-    }
-}
-
-impl ChunkPolicy for Trapezoid {
-    fn next_chunk_size(&mut self, remaining: u64, _p: usize) -> u64 {
-        if self.started {
-            self.current_fp = self.current_fp.saturating_sub(self.step_fp);
-        }
-        self.started = true;
-        let size = (self.current_fp / 1024).clamp(self.last, self.first);
-        size.max(1).min(remaining)
-    }
-    fn name(&self) -> String {
-        format!("TSS({},{})", self.first, self.last)
-    }
-}
-
-/// Factoring: iterations are handed out in batches of `p` equal chunks,
-/// each batch taking half of what remains at batch start.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Factoring {
-    in_batch: usize,
-    batch_chunk: u64,
-}
-
-impl ChunkPolicy for Factoring {
-    fn next_chunk_size(&mut self, remaining: u64, p: usize) -> u64 {
-        let p = p.max(1);
-        if self.in_batch == 0 {
-            self.batch_chunk = (remaining.div_ceil(2)).div_ceil(p as u64).max(1);
-            self.in_batch = p;
-        }
-        self.in_batch -= 1;
-        self.batch_chunk.min(remaining)
-    }
-    fn name(&self) -> String {
-        "FAC".into()
     }
 }
 
@@ -212,33 +65,41 @@ pub fn static_assignment(n: u64, p: usize, kind: StaticKind) -> Vec<Vec<Chunk>> 
     out
 }
 
-/// Enumerable policy descriptor, convertible into a fresh policy instance.
-/// (Policies are stateful; a new instance is needed per loop execution.)
+/// A dynamic chunking policy. Each loop execution gets its own
+/// [`Dispenser`], which carries the little history TSS and factoring need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
-    /// Pure self-scheduling.
+    /// Pure self-scheduling SS: one iteration per dispatch (maximal
+    /// balance, maximal synchronization traffic).
     SelfSched,
-    /// Chunked self-scheduling with the given chunk size.
+    /// Chunked self-scheduling CSS(k): a fixed `k` iterations per dispatch.
     Chunked(u64),
-    /// Guided self-scheduling (min chunk 1).
+    /// Guided self-scheduling GSS: each dispatch takes `⌈remaining / p⌉`
+    /// iterations, so chunks decay geometrically and the tail
+    /// self-balances.
     Guided,
-    /// Trapezoid self-scheduling with classic parameters for `(n, p)`.
+    /// Trapezoid self-scheduling TSS(f, 1): chunk sizes shrink linearly
+    /// from `f = ⌈n / 2p⌉` to 1 over the life of the loop.
     Trapezoid,
-    /// Factoring.
+    /// Factoring: iterations are handed out in batches of `p` equal
+    /// chunks, each batch taking half of what remains at batch start.
     Factoring,
 }
 
 impl PolicyKind {
-    /// Instantiate a fresh policy for a loop of `n` iterations on `p`
-    /// processors.
-    pub fn instantiate(self, n: u64, p: usize) -> Box<dyn ChunkPolicy> {
-        match self {
-            PolicyKind::SelfSched => Box::new(SelfSched),
-            PolicyKind::Chunked(k) => Box::new(Chunked(k)),
-            PolicyKind::Guided => Box::new(Guided::default()),
-            PolicyKind::Trapezoid => Box::new(Trapezoid::classic(n, p)),
-            PolicyKind::Factoring => Box::new(Factoring::default()),
-        }
+    /// The next chunk size for the policies whose size is a function of
+    /// the undispatched count alone: SS, CSS(k) and GSS. `remaining` must
+    /// be positive; the result lies in `1..=remaining`. `None` for TSS and
+    /// factoring, whose sizes depend on dispatch history (see
+    /// [`Dispenser`]).
+    pub fn chunk_for(self, remaining: u64, p: usize) -> Option<u64> {
+        let size = match self {
+            PolicyKind::SelfSched => 1,
+            PolicyKind::Chunked(k) => k.max(1),
+            PolicyKind::Guided => remaining.div_ceil(p.max(1) as u64),
+            PolicyKind::Trapezoid | PolicyKind::Factoring => return None,
+        };
+        Some(size.min(remaining))
     }
 
     /// Short display name.
@@ -262,28 +123,45 @@ impl fmt::Display for PolicyKind {
 /// The shared iteration counter: each [`Dispenser::grab`] models one
 /// synchronized fetch&add on the loop's dispatch variable.
 pub struct Dispenser {
-    next: u64,
+    kind: PolicyKind,
     n: u64,
     p: usize,
-    policy: Box<dyn ChunkPolicy>,
+    next: u64,
     fetch_ops: u64,
+    /// TSS: the current chunk size and its per-grab decrement, fixed point
+    /// ×1024. `u128` keeps `n` near `u64::MAX` from overflowing.
+    tss_fp: (u128, u128),
+    /// Factoring: the current batch's chunk size and the grabs left in it.
+    batch: (u64, usize),
 }
 
 impl Dispenser {
     /// A dispenser over `n` iterations shared by `p` processors.
-    pub fn new(n: u64, p: usize, policy: Box<dyn ChunkPolicy>) -> Self {
+    pub fn with_kind(n: u64, p: usize, kind: PolicyKind) -> Self {
+        let p = p.max(1);
+        let tss_fp = if kind == PolicyKind::Trapezoid {
+            // f = ⌈n / 2p⌉, l = 1; C = ⌈2n / (f + l)⌉ dispatches, each
+            // shrinking the size by δ = (f − l) / (C − 1).
+            let first = u128::from(n.div_ceil(2 * p as u64).max(1));
+            let grabs = (2 * u128::from(n)).div_ceil(first + 1).max(1);
+            let step = if grabs > 1 {
+                (first - 1) * 1024 / (grabs - 1)
+            } else {
+                0
+            };
+            (first * 1024, step)
+        } else {
+            (0, 0)
+        };
         Dispenser {
-            next: 0,
+            kind,
             n,
             p,
-            policy,
+            next: 0,
             fetch_ops: 0,
+            tss_fp,
+            batch: (0, 0),
         }
-    }
-
-    /// Convenience constructor from a [`PolicyKind`].
-    pub fn with_kind(n: u64, p: usize, kind: PolicyKind) -> Self {
-        Dispenser::new(n, p, kind.instantiate(n, p))
     }
 
     /// Take the next chunk. Every call — including the final empty one each
@@ -294,10 +172,26 @@ impl Dispenser {
             return None;
         }
         let remaining = self.n - self.next;
-        let len = self
-            .policy
-            .next_chunk_size(remaining, self.p)
-            .clamp(1, remaining);
+        let len = match self.kind {
+            PolicyKind::Trapezoid => {
+                let (size_fp, step_fp) = &mut self.tss_fp;
+                // The size never exceeds f, so it fits in a u64.
+                let size = (*size_fp / 1024) as u64;
+                *size_fp = size_fp.saturating_sub(*step_fp);
+                size
+            }
+            PolicyKind::Factoring => {
+                let (size, left) = &mut self.batch;
+                if *left == 0 {
+                    *size = remaining.div_ceil(2).div_ceil(self.p as u64);
+                    *left = self.p;
+                }
+                *left -= 1;
+                *size
+            }
+            kind => kind.chunk_for(remaining, self.p)?,
+        }
+        .clamp(1, remaining);
         let c = Chunk {
             start: self.next,
             len,
@@ -309,11 +203,6 @@ impl Dispenser {
     /// Number of synchronized fetch&add operations performed so far.
     pub fn fetch_ops(&self) -> u64 {
         self.fetch_ops
-    }
-
-    /// Iterations not yet dispatched.
-    pub fn remaining(&self) -> u64 {
-        self.n - self.next
     }
 
     /// Drain the dispenser, returning the full chunk sequence (as a single
@@ -468,6 +357,46 @@ mod tests {
         let mut d = Dispenser::with_kind(0, 4, PolicyKind::Guided);
         assert!(d.grab().is_none());
         assert_eq!(d.fetch_ops(), 1);
+    }
+
+    #[test]
+    fn every_policy_stays_in_range_at_u64_max() {
+        // TSS used to compute 2n and f·1024 in u64 and overflowed once
+        // n reached 2^58.
+        for kind in [
+            PolicyKind::SelfSched,
+            PolicyKind::Chunked(7),
+            PolicyKind::Chunked(u64::MAX),
+            PolicyKind::Guided,
+            PolicyKind::Trapezoid,
+            PolicyKind::Factoring,
+        ] {
+            let mut d = Dispenser::with_kind(u64::MAX, 4, kind);
+            let mut next = 0u64;
+            let mut prev_len = u64::MAX;
+            for _ in 0..64 {
+                let Some(c) = d.grab() else { break };
+                assert_eq!(c.start, next, "{kind:?} left a gap");
+                assert!(c.len >= 1, "{kind:?}");
+                next = c
+                    .start
+                    .checked_add(c.len)
+                    .unwrap_or_else(|| panic!("{kind:?} ran past u64::MAX"));
+                if matches!(kind, PolicyKind::Guided | PolicyKind::Trapezoid) {
+                    assert!(c.len <= prev_len, "{kind:?} grew a chunk");
+                }
+                prev_len = c.len;
+            }
+        }
+    }
+
+    #[test]
+    fn trapezoid_first_chunk_is_exact_past_2_pow_58() {
+        let n = 1u64 << 58;
+        let mut d = Dispenser::with_kind(n, 4, PolicyKind::Trapezoid);
+        let sizes: Vec<u64> = (0..3).map(|_| d.grab().unwrap().len).collect();
+        assert_eq!(sizes[0], n / 8);
+        assert!(sizes[0] > sizes[1] && sizes[1] > sizes[2], "{sizes:?}");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! | iteration space | [`space`] | strides, linearization, index recovery, odometer |
 //! | scheduling | [`sched`] | SS / CSS / GSS / TSS / factoring policies, dispatch counts, schedule-length bounds |
 //! | machine | [`machine`] | deterministic multiprocessor simulator with fetch&add cost model |
-//! | runtime | [`runtime`] | real-thread coalesced executor (`AtomicU64::fetch_add` dispatch) |
+//! | runtime | [`runtime`] | real-thread coalesced executor (CAS dispatch on a shared `AtomicU64`) |
 //! | workloads | [`workloads`] | kernels (matmul, Gauss–Jordan, stencil, π) and cost models |
 //! | static analysis | `lc-lint` | LC001–LC005 race and legality lints, run by the driver's `analyze` pass |
 //! | serving | `lc-service` | the `lc-serve` compile server over one shared `Driver` |

@@ -4,8 +4,8 @@
 //!   `lc-space` math computes;
 //! * the simulator's dispatch accounting matches the scheduler's analytic
 //!   counts;
-//! * the real runtime's chunk sequence matches the dispenser's for
-//!   deterministic single-worker configurations.
+//! * the real runtime claims exactly the dispenser's chunk sequence, at
+//!   any thread count.
 
 use loop_coalescing::ir::interp::Interp;
 use loop_coalescing::ir::program::Program;
@@ -81,30 +81,43 @@ fn simulator_fetch_adds_match_scheduler_accounting() {
 
 #[test]
 fn runtime_single_worker_chunks_match_dispenser() {
+    // The chunk sequence depends only on the shared counter, so at any
+    // thread count the runtime claims exactly the chunks one consumer of
+    // the dispenser would see, just spread over the workers.
     use loop_coalescing::runtime::{parallel_for_chunks, RuntimeOptions};
     use std::sync::Mutex;
     for kind in [
         PolicyKind::SelfSched,
         PolicyKind::Chunked(16),
+        PolicyKind::Guided,
         PolicyKind::Trapezoid,
         PolicyKind::Factoring,
     ] {
-        let n = 500u64;
-        let seen = Mutex::new(Vec::new());
-        parallel_for_chunks(
-            n,
-            &RuntimeOptions {
-                threads: 1,
-                policy: kind,
-            },
-            |c| seen.lock().unwrap().push((c.start, c.len)),
-        );
-        let want: Vec<(u64, u64)> = Dispenser::with_kind(n, 1, kind)
-            .drain()
-            .into_iter()
-            .map(|c| (c.start, c.len))
-            .collect();
-        assert_eq!(*seen.lock().unwrap(), want, "{kind:?}");
+        for threads in 1..=4 {
+            let n = 500u64;
+            let seen = Mutex::new(Vec::new());
+            let stats = parallel_for_chunks(
+                n,
+                &RuntimeOptions {
+                    threads,
+                    policy: kind,
+                },
+                |c| seen.lock().unwrap().push((c.start, c.len)),
+            );
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort_unstable();
+            let want: Vec<(u64, u64)> = Dispenser::with_kind(n, threads, kind)
+                .drain()
+                .into_iter()
+                .map(|c| (c.start, c.len))
+                .collect();
+            assert_eq!(seen, want, "{kind:?} threads={threads}");
+            assert_eq!(
+                stats.total_chunks(),
+                single_loop_dispatch(n, threads, kind).chunks,
+                "{kind:?} threads={threads}"
+            );
+        }
     }
 }
 
