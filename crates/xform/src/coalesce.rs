@@ -25,7 +25,9 @@
 //! # Constant and symbolic trip counts
 //!
 //! [`coalesce_band`] is the single entry point for both compile-time and
-//! runtime trip counts, choosing the recovery form **per level**:
+//! runtime trip counts, and one band emitter serves both. It chooses each
+//! level's stride form, then hands every stride to the one copy of the
+//! recovery formulas in [`crate::recovery`]:
 //!
 //! * a level whose stride `P_k = Π_{l>k} N_l` folds to a constant gets a
 //!   literal stride in its recovery formula;
@@ -37,7 +39,11 @@
 //! coalesces with fully-constant recovery on the constant levels and only
 //! the total trip count (`lcs_total = 64 * n`) computed at run time. When
 //! every banded trip count is symbolic the emission degenerates to the
-//! classic all-scalar stride preamble.
+//! classic all-scalar stride preamble. When every banded trip count is
+//! constant there is no preamble, [`CoalesceInfo`] reports the dims, the
+//! total and the cost of the emitted statements, and
+//! [`CoalesceOptions::strength_reduce`] runs
+//! [`crate::strength::cse_recovery`] over the recovery block.
 //!
 //! # Legality
 //!
@@ -58,7 +64,7 @@ use std::collections::{BTreeSet, HashSet};
 
 use lc_ir::analysis::depend::{analyze_nest, NestDeps};
 use lc_ir::analysis::nest::{extract_nest, LoopHeader, Nest};
-use lc_ir::build::ExprBuilder;
+use lc_ir::build::{ExprBuilder, RecoveryCost};
 use lc_ir::expr::Expr;
 use lc_ir::stmt::{Loop, LoopKind, Stmt};
 use lc_ir::symbol::Symbol;
@@ -66,7 +72,8 @@ use lc_ir::walk::{undefined_reads, walk, Binds};
 use lc_ir::{Error, Result, SkipReason};
 
 use crate::normalize::normalize_nest;
-use crate::recovery::{per_iteration_cost, recovery_stmts, total_iterations, RecoveryScheme};
+use crate::recovery::{recovery_from_strides, total_iterations, RecoveryScheme};
+use crate::strength::cse_recovery;
 
 /// Options controlling [`coalesce_loop`].
 ///
@@ -247,7 +254,7 @@ impl CoalesceResult {
 /// Convenience wrapper over [`coalesce_band`]: extracts the nest, tries
 /// to normalize it (when `auto_normalize` is set), and runs every
 /// analysis from scratch. Nests that cannot be normalized because a
-/// bound is symbolic go to the per-level emitter as-is — such loops must
+/// bound is symbolic go to the band emitter as-is — such loops must
 /// already be in unit form `1..=U step 1`. Callers that already hold the
 /// nest and its dependence analysis — e.g. `lc-driver`'s cached pipeline
 /// — should call [`coalesce_band`] directly so nothing is recomputed.
@@ -256,8 +263,8 @@ pub fn coalesce_loop(l: &Loop, opts: &CoalesceOptions) -> Result<CoalesceResult>
     if opts.auto_normalize {
         match normalize_nest(&nest) {
             Ok(normalized) => coalesce_band(&normalized, None, opts),
-            // Symbolic bounds cannot be pre-normalized; the per-level
-            // emitter handles them directly.
+            // Symbolic bounds cannot be pre-normalized; the band emitter
+            // handles them directly.
             Err(Error::Unsupported(r)) if r.is_symbolic() => coalesce_band(&nest, None, opts),
             Err(e) => Err(e),
         }
@@ -296,11 +303,8 @@ pub fn coalesce_band(
             .unwrap_or("jc"),
     );
 
-    let const_trips: Option<Vec<u64>> = band.iter().map(LoopHeader::const_trip_count).collect();
-    let (mut body, preamble, upper, info) = match const_trips {
-        Some(dims) => emit_constant(nest, band, &used, &jvar, dims, (start, end), opts)?,
-        None => emit_per_level(band, &used, &jvar, (start, end), depth, opts),
-    };
+    let (mut body, preamble, upper, info) =
+        emit_band(band, &used, &jvar, (start, end), depth, opts)?;
 
     // Inner uncoalesced levels wrap the nest body inside the coalesced
     // loop; outer uncoalesced levels wrap the coalesced loop, unchanged.
@@ -324,67 +328,31 @@ pub fn coalesce_band(
     })
 }
 
-/// The all-constant emission: literal total trip count, recovery via
-/// [`recovery_stmts`], optional strength reduction, typed cost.
-fn emit_constant(
-    nest: &Nest,
-    band: &[LoopHeader],
-    used: &HashSet<String>,
-    jvar: &Symbol,
-    dims: Vec<u64>,
-    levels: (usize, usize),
-    opts: &CoalesceOptions,
-) -> Result<(Vec<Stmt>, Vec<Stmt>, Expr, CoalesceInfo)> {
-    let total = total_iterations(&dims)?;
-    let level_vars: Vec<Symbol> = band.iter().map(|h| h.var.clone()).collect();
-
-    let mut recovery = recovery_stmts(opts.scheme, jvar, &level_vars, &dims);
-    let mut recovery_cost = per_iteration_cost(opts.scheme, &dims).units();
-    if opts.strength_reduce {
-        // Temp names are `{prefix}{n}` for arbitrary n: pick a prefix no
-        // existing symbol starts with, so no temp can collide.
-        let prefix = (0u32..)
-            .map(|i| {
-                if i == 0 {
-                    "rc_".to_string()
-                } else {
-                    format!("rc{i}_")
-                }
-            })
-            .find(|p| !used.iter().any(|u| u.starts_with(p.as_str())))
-            .expect("some prefix is always free");
-        let mut builder = ExprBuilder::from_stmts(recovery);
-        builder.intern_shared_divisions(&prefix);
-        recovery_cost = builder.cost().units();
-        recovery = builder.into_stmts();
-    }
-
-    let info = CoalesceInfo {
-        recovery_cost_per_iteration: recovery_cost,
-        dims,
-        total_iterations: total,
-        scheme: opts.scheme,
-        levels,
-        original_depth: nest.depth(),
-        coalesced_var: jvar.clone(),
-    };
-    Ok((recovery, Vec::new(), Expr::lit(total as i64), info))
-}
-
-/// The per-level emission for bands with at least one symbolic trip
-/// count. Strides that fold to constants stay literals in the recovery
-/// formulas; symbolic strides become `lcs_k` scalars in the preamble.
-/// When *every* banded trip is symbolic this degenerates to the classic
-/// all-scalar stride chain.
-fn emit_per_level(
+/// The one band emitter (see the module docs): recovery statements,
+/// stride preamble, coalesced trip count and metadata for any mix of
+/// constant and symbolic trip counts.
+fn emit_band(
     band: &[LoopHeader],
     used: &HashSet<String>,
     jvar: &Symbol,
     levels: (usize, usize),
     depth: usize,
     opts: &CoalesceOptions,
-) -> (Vec<Stmt>, Vec<Stmt>, Expr, CoalesceInfo) {
+) -> Result<(Vec<Stmt>, Vec<Stmt>, Expr, CoalesceInfo)> {
     let m = band.len();
+    let dims: Option<Vec<u64>> = band.iter().map(LoopHeader::const_trip_count).collect();
+    let (trips, total): (Vec<Expr>, u64) = match &dims {
+        Some(dims) => {
+            // Every stride is a suffix product of the trips; it must fit
+            // in `i64` to stay a literal, even behind a zero-trip level.
+            for k in 1..m {
+                total_iterations(&dims[k..])?;
+            }
+            let trips = dims.iter().map(|&n| Expr::lit(n as i64)).collect();
+            (trips, total_iterations(dims)?)
+        }
+        None => (band.iter().map(|h| h.upper.clone()).collect(), 0),
+    };
     // With every trip symbolic, materialize every stride (including the
     // constant innermost `1`) so the emission matches the paper's
     // all-symbolic preamble shape exactly.
@@ -401,12 +369,12 @@ fn emit_per_level(
         } else {
             running.clone()
         };
-        running = (stride.clone() * band[k].upper.clone()).fold();
+        running = (stride.clone() * trips[k].clone()).fold();
         strides[k] = stride;
     }
     let upper = if running.as_const().is_some() {
-        // Possible despite a symbolic bound: a constant zero-trip level
-        // annihilates the product.
+        // Also possible despite a symbolic bound: a constant zero-trip
+        // level annihilates the product.
         running
     } else {
         let total_name = fresh_from(used, "lcs_total");
@@ -414,46 +382,30 @@ fn emit_per_level(
         Expr::Var(total_name)
     };
 
-    // Recovery per level, on whatever form each stride took.
-    let j = Expr::Var(jvar.clone());
-    let mut recovery = ExprBuilder::new();
-    for (k, h) in band.iter().enumerate() {
-        let stride = strides[k].clone();
-        let expr = match opts.scheme {
-            RecoveryScheme::Ceiling => {
-                let first = j.clone().ceil_div(stride.clone());
-                if k == 0 {
-                    first
-                } else {
-                    let outer = (stride * h.upper.clone()).fold();
-                    first - h.upper.clone() * (j.clone().ceil_div(outer) - Expr::lit(1))
-                }
-            }
-            RecoveryScheme::DivMod => {
-                let q = j.clone() - Expr::lit(1);
-                let shifted = q.floor_div(stride);
-                if k == 0 {
-                    shifted + Expr::lit(1)
-                } else {
-                    shifted.floor_mod(h.upper.clone()) + Expr::lit(1)
-                }
-            }
-        };
-        recovery.assign(h.var.clone(), expr);
-    }
+    let vars: Vec<Symbol> = band.iter().map(|h| h.var.clone()).collect();
+    let mut recovery = recovery_from_strides(opts.scheme, jvar, &vars, &strides, &trips);
 
-    // Dims are runtime values: the scheduling layer sees the symbolic
-    // marker (empty dims, zero totals).
+    // Dims of a symbolic band are runtime values: the scheduling layer
+    // sees the symbolic marker (empty dims, zero totals).
+    let (dims, recovery_cost_per_iteration) = match dims {
+        Some(dims) => {
+            if opts.strength_reduce {
+                recovery = cse_recovery(&recovery, &fresh_prefix(used, "rc")).0;
+            }
+            (dims, RecoveryCost::of_stmts(&recovery).units())
+        }
+        None => (Vec::new(), 0),
+    };
     let info = CoalesceInfo {
-        dims: Vec::new(),
-        total_iterations: 0,
+        dims,
+        total_iterations: total,
         scheme: opts.scheme,
-        recovery_cost_per_iteration: 0,
+        recovery_cost_per_iteration,
         levels,
         original_depth: depth,
         coalesced_var: jvar.clone(),
     };
-    (recovery.into_stmts(), preamble.into_stmts(), upper, info)
+    Ok((recovery, preamble.into_stmts(), upper, info))
 }
 
 /// Check — without rewriting anything — that the band requested by
@@ -597,6 +549,18 @@ fn fresh_from(used: &HashSet<String>, base: &str) -> Symbol {
         }
         n += 1;
     }
+}
+
+/// Pick a temp-name prefix `{base}_`, `{base}1_`, … that no name in
+/// `used` starts with, so no `{prefix}{n}` temporary can collide.
+fn fresh_prefix(used: &HashSet<String>, base: &str) -> String {
+    (0u32..)
+        .map(|i| match i {
+            0 => format!("{base}_"),
+            _ => format!("{base}{i}_"),
+        })
+        .find(|p| !used.iter().any(|u| u.starts_with(p.as_str())))
+        .expect("some prefix is always free")
 }
 
 /// Every name the nest mentions: indices, variables read anywhere,
@@ -1242,6 +1206,29 @@ mod tests {
         assert!(cost(3) < cost(4));
     }
 
+    #[test]
+    fn overflowing_stride_behind_a_zero_trip_level_is_an_error() {
+        // The total is 0, but the stride of `j` is 2^64: it cannot be a
+        // literal, so the band is refused instead of emitting garbage.
+        let p = parse_program(
+            "
+            array A[1];
+            doall i = 1..0 {
+                doall j = 1..4294967296 {
+                    doall k = 1..4294967296 {
+                        A[1] = 1;
+                    }
+                }
+            }
+            ",
+        )
+        .unwrap();
+        let (_, l) = loop_of(&p);
+        let opts = CoalesceOptions::builder().check_legality(false).build();
+        let err = coalesce_loop(&l, &opts).unwrap_err();
+        assert!(matches!(err, Error::Overflow), "{err}");
+    }
+
     // ------------------------------------------------------------------
     // Symbolic and mixed trip counts (runtime bounds).
     // ------------------------------------------------------------------
@@ -1364,8 +1351,8 @@ mod tests {
     #[test]
     fn mixed_partial_band_with_symbolic_outer_level_kept() {
         // Band (1, 3) of a 3-deep nest with a symbolic outermost level:
-        // the coalesced band is fully constant, so this takes the
-        // constant emission even though the nest as a whole is symbolic.
+        // the coalesced band is fully constant, so it gets literal
+        // recovery, dims and no preamble although the nest is symbolic.
         let out = check_coalesce(
             "
             array A[4][5][6];

@@ -6,9 +6,11 @@
 //! `⌈j/P_{k+1}⌉` again. Hoisting each repeated division into a temporary
 //! roughly halves the per-iteration division count for deep nests.
 //!
-//! The extraction machinery itself now lives in the shared
+//! The extraction machinery itself lives in the shared
 //! recovery-expression builder ([`lc_ir::ExprBuilder`]); this module is
-//! the reporting wrapper the coalescer and the bench tables call.
+//! the reporting wrapper over it. The coalescer calls it on every
+//! all-constant band when [`crate::coalesce::CoalesceOptions::strength_reduce`]
+//! is set, and bench table T1 reports its savings.
 
 use lc_ir::build::{ExprBuilder, RecoveryCost};
 use lc_ir::stmt::Stmt;
