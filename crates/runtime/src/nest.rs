@@ -1,9 +1,10 @@
 //! Nest-level executors: the runtime analogues of the simulator's
 //! execution modes, run on real threads.
 
-use lc_space::{total_iterations, Odometer};
+use lc_sched::policy::Chunk;
+use lc_space::{recover_divmod_into, total_iterations, Odometer};
 
-use crate::parallel::{parallel_for, parallel_for_chunks, RuntimeOptions};
+use crate::parallel::{parallel_for, self_schedule, RuntimeOptions};
 use crate::stats::RunStats;
 
 /// Execute a rectangular nest as a single **coalesced** parallel loop.
@@ -17,13 +18,29 @@ where
     F: Fn(&[i64]) + Sync,
 {
     let n = total_iterations(dims).expect("iteration count overflows");
-    parallel_for_chunks(n, opts, |chunk| {
-        let mut odo = Odometer::from_linear(chunk.start as i64 + 1, dims);
+    // Each worker recovers into its own index buffer, which it allocates
+    // on its first chunk, so dispatch allocates nothing per chunk.
+    let run_chunk = |mut iv: Vec<i64>, chunk: Chunk| {
+        recover_divmod_into(chunk.start as i64 + 1, dims, &mut iv);
         for _ in 0..chunk.len {
-            body(odo.indices());
-            odo.advance();
+            body(&iv);
+            advance(&mut iv, dims);
         }
-    })
+        iv
+    };
+    self_schedule(n, opts, Vec::new, run_chunk).0
+}
+
+/// One odometer step on a borrowed index vector: bump the innermost
+/// index, carrying outward (what [`Odometer::advance`] does in place).
+fn advance(iv: &mut [i64], dims: &[u64]) {
+    for k in (0..dims.len()).rev() {
+        if (iv[k] as u64) < dims[k] {
+            iv[k] += 1;
+            return;
+        }
+        iv[k] = 1;
+    }
 }
 
 /// Execute the nest with only the **outermost** loop parallel; each
@@ -66,14 +83,18 @@ where
     let mut acc = RunStats::default();
     let mut odo = Odometer::new(outer_dims);
     for _ in 0..outer_total {
-        let prefix: Vec<i64> = odo.indices().to_vec();
-        let run = parallel_for(inner_n, opts, |ik| {
-            let mut iv = Vec::with_capacity(dims.len());
-            iv.extend_from_slice(&prefix);
-            iv.push(ik as i64 + 1);
-            body(&iv);
-        });
-        acc.accumulate(&run);
+        let prefix = odo.indices();
+        // One index buffer per worker per instance, not per iteration.
+        let run_chunk = |mut iv: Vec<i64>, chunk: Chunk| {
+            for ik in chunk.start..chunk.end() {
+                iv.clear();
+                iv.extend_from_slice(prefix);
+                iv.push(ik as i64 + 1);
+                body(&iv);
+            }
+            iv
+        };
+        acc.accumulate(&self_schedule(inner_n, opts, Vec::new, run_chunk).0);
         odo.advance();
     }
     acc
