@@ -37,7 +37,7 @@ fn bench_compile(c: &mut Criterion) {
         b.iter(|| full.compile(black_box(QUICKSTART)).unwrap())
     });
 
-    let compat = Driver::new(DriverOptions::facade_compat(CoalesceOptions::default()));
+    let compat = Driver::facade_compat(CoalesceOptions::default());
     group.bench_function("compile/facade-compat", |b| {
         b.iter(|| compat.compile(black_box(QUICKSTART)).unwrap())
     });

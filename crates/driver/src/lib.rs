@@ -11,12 +11,16 @@
 //!   → normalize → perfect → interchange → advise → coalesce →
 //!   strength-reduce, or any subset via [`Driver::with_pipeline`]) over
 //!   every top-level nest, then validates the rewrite against the
-//!   interpreter. The `analyze` stage runs the `lc-lint` checks and can
-//!   veto a nest (`deny` severity → [`SkipReason::LintDenied`]).
-//! * [`cache::NestAnalyses`] — memoizes nest extraction, normalization,
-//!   and dependence analysis per nest, with hit/miss counters
-//!   ([`cache::CacheStats`]); each analysis runs **at most once per
-//!   nest** per compilation.
+//!   interpreter. The pass list is the only switch: a pass acts exactly
+//!   when it is in the pipeline. The `analyze` stage runs the `lc-lint`
+//!   checks and can veto a nest (`deny` severity →
+//!   [`SkipReason::LintDenied`]).
+//! * [`lc_xform::cache::NestAnalyses`] — memoizes nest extraction,
+//!   normalization, and dependence analysis per nest, with hit/miss
+//!   counters ([`CacheStats`]); each analysis runs **at most once per
+//!   nest** per compilation. The `coalesce` pass hands it to
+//!   [`lc_xform::coalesce::coalesce_nest`], the same routing
+//!   `coalesce_loop` uses.
 //! * [`trace::PipelineTrace`] — a timed, JSON-serializable record of
 //!   every pass invocation (applied / skipped-with-diagnostic /
 //!   validated), plus a human-readable [`trace::PipelineTrace::report`].
@@ -52,7 +56,6 @@
 #![forbid(unsafe_code)]
 
 pub mod batch;
-pub mod cache;
 pub mod json;
 mod pass;
 pub mod pipeline;
@@ -68,7 +71,7 @@ use lc_sched::advise::AdviseParams;
 use lc_xform::coalesce::{CoalesceInfo, CoalesceOptions};
 
 pub use batch::BatchItem;
-pub use cache::CacheStats;
+pub use lc_xform::cache::CacheStats;
 pub use pipeline::{Driver, DEFAULT_PASS_ORDER};
 pub use trace::{PipelineTrace, TraceEvent, TraceOutcome};
 
@@ -107,18 +110,13 @@ impl Skip {
     }
 }
 
-/// Driver configuration: the coalescing options plus which enabling
-/// passes run.
+/// Driver configuration. Which passes run is the pipeline's pass list
+/// ([`Driver::with_pipeline`]), not an option.
 #[derive(Debug, Clone)]
 pub struct DriverOptions {
     /// Options forwarded to the coalescing transformation (band, scheme,
-    /// legality checking, strength reduction, …).
+    /// strength reduction).
     pub coalesce: CoalesceOptions,
-    /// Run the nest-perfection pass (sink imperfect statements under
-    /// first/last-iteration guards).
-    pub enable_perfection: bool,
-    /// Run the interchange pass (move serial outermost levels inward).
-    pub enable_interchange: bool,
     /// Validate the transformed program against the interpreter.
     pub validate: bool,
     /// When set, the advise pass picks the best legal collapse band for
@@ -143,31 +141,10 @@ impl Default for DriverOptions {
     fn default() -> Self {
         DriverOptions {
             coalesce: CoalesceOptions::default(),
-            enable_perfection: true,
-            enable_interchange: true,
             validate: true,
             advise: None,
             validate_each_pass: false,
             lints: LintSet::default(),
-        }
-    }
-}
-
-impl DriverOptions {
-    /// The configuration the `loop_coalescing` facade uses to stay
-    /// byte-compatible with the seed `coalesce_source` pipeline:
-    /// coalesce + validate only, no structural enabling passes.
-    pub fn facade_compat(coalesce: CoalesceOptions) -> Self {
-        DriverOptions {
-            coalesce,
-            enable_perfection: false,
-            enable_interchange: false,
-            validate: true,
-            advise: None,
-            validate_each_pass: false,
-            // The seed pipeline predates the analyzer; keep its
-            // behaviour (and pass roster) byte-identical.
-            lints: LintSet::all_allow(),
         }
     }
 }

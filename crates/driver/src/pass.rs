@@ -18,8 +18,9 @@
 //! 4. `interchange` — move a serial outermost level inward when the
 //!    level below it is parallel, so DOALL levels sit outermost;
 //! 5. `advise` — pick the best legal collapse band analytically;
-//! 6. `coalesce` — the transformation itself, with the symbolic fallback
-//!    for runtime trip counts;
+//! 6. `coalesce` — the transformation itself, routed by
+//!    [`coalesce_nest`] (normalized nest, or the raw nest when a bound
+//!    is symbolic);
 //! 7. `strength-reduce` — report the recovery-CSE savings.
 //!
 //! Passes 3–5 are *enabling* passes: their failures are recorded as
@@ -30,17 +31,15 @@
 
 use std::time::Instant;
 
-use lc_ir::analysis::nest::Nest;
 use lc_ir::stmt::{Loop, Stmt};
 use lc_ir::{Error, Result, SkipReason};
 use lc_lint::{ConstEnv, Finding, LintCode, NestLinter, Severity};
-use lc_xform::coalesce::{coalesce_band, CoalesceInfo, CoalesceOptions, CoalesceResult};
+use lc_xform::cache::NestAnalyses;
+use lc_xform::coalesce::{coalesce_nest, CoalesceInfo, NestError};
 use lc_xform::interchange::interchange;
-use lc_xform::normalize::require_normalized;
 use lc_xform::perfect::perfect_recursively;
 use lc_xform::recovery::per_iteration_cost;
 
-use crate::cache::NestAnalyses;
 use crate::trace::TraceEvent;
 use crate::trace::TraceOutcome::{self, Analyzed, Applied, Noop, Skipped};
 use crate::{DriverOptions, Skip};
@@ -152,9 +151,9 @@ impl Pass {
         }
         match self {
             Pass::Analyze => Ok(analyze(nest, options, events, lints)),
-            Pass::Normalize => normalize(nest, options),
-            Pass::Perfect => Ok(perfect(nest, options)),
-            Pass::Interchange => Ok(interchange_outer(nest, options)),
+            Pass::Normalize => normalize(nest),
+            Pass::Perfect => Ok(perfect(nest)),
+            Pass::Interchange => Ok(interchange_outer(nest)),
             Pass::Advise => Ok(advise(nest, options)),
             Pass::Coalesce => coalesce(nest, options),
             Pass::StrengthReduce => Ok(strength_reduce(nest, options)),
@@ -231,17 +230,9 @@ fn analyzed<'a>(findings: impl Iterator<Item = &'a Finding> + Clone) -> TraceOut
 ///
 /// Reports how many headers needed rewriting; a symbolic-bound failure
 /// is recorded here but the final constant-vs-symbolic routing happens
-/// in `coalesce`, exactly as in the facade pipeline.
-fn normalize(nest: &mut NestState, options: &DriverOptions) -> Result<TraceOutcome> {
+/// in `coalesce`.
+fn normalize(nest: &mut NestState) -> Result<TraceOutcome> {
     let cache = &mut nest.cache;
-    if !options.coalesce.auto_normalize {
-        // The caller promised normalized input; just check.
-        return match require_normalized(&cache.nest().loops) {
-            Ok(()) => Ok(Noop),
-            Err(Error::Unsupported(reason)) => Ok(Skipped { reason }),
-            Err(e) => Err(e),
-        };
-    }
     let unnormalized = cache
         .nest()
         .loops
@@ -277,10 +268,7 @@ fn enabling(cache: &mut NestAnalyses, rewritten: Result<Loop>) -> TraceOutcome {
 
 /// Nest perfection (sink prologue/epilogue statements into the inner
 /// loop under first/last-iteration guards). Structural.
-fn perfect(nest: &mut NestState, options: &DriverOptions) -> TraceOutcome {
-    if !options.enable_perfection {
-        return Noop;
-    }
+fn perfect(nest: &mut NestState) -> TraceOutcome {
     match perfect_recursively(nest.cache.current()) {
         Ok(p) if p == *nest.cache.current() => Noop,
         rewritten => enabling(&mut nest.cache, rewritten),
@@ -291,10 +279,7 @@ fn perfect(nest: &mut NestState, options: &DriverOptions) -> TraceOutcome {
 /// the level below it is parallel, swap them so the parallel level moves
 /// outward — the classical enabling step the paper positions coalescing
 /// against. Structural.
-fn interchange_outer(nest: &mut NestState, options: &DriverOptions) -> TraceOutcome {
-    if !options.enable_interchange {
-        return Noop;
-    }
+fn interchange_outer(nest: &mut NestState) -> TraceOutcome {
     let cache = &mut nest.cache;
     let depth = cache.nest().depth();
     if depth < 2 || cache.normalized().is_err() {
@@ -349,9 +334,9 @@ fn advise(nest: &mut NestState, options: &DriverOptions) -> TraceOutcome {
     }
 }
 
-/// The coalescing transformation, constant path first with the symbolic
-/// fallback — byte-for-byte the facade pipeline's routing, but with
-/// every analysis drawn from the cache instead of recomputed.
+/// The coalescing transformation, with every analysis drawn from the
+/// nest's cache. A symbolic-bound skip reports both reasons: why
+/// normalization stopped, and why the raw nest did not coalesce either.
 fn coalesce(nest: &mut NestState, options: &DriverOptions) -> Result<TraceOutcome> {
     let depth = nest.cache.nest().depth();
     let mut opts = options.coalesce.clone().clamped_to_depth(depth);
@@ -361,20 +346,18 @@ fn coalesce(nest: &mut NestState, options: &DriverOptions) -> Result<TraceOutcom
     let band = opts.levels.unwrap_or((0, depth));
     let width = band.1.saturating_sub(band.0) as u64;
 
-    let result = match constant_path(&mut nest.cache, &opts, depth) {
+    let result = match coalesce_nest(&mut nest.cache, &opts) {
         Ok(result) => result,
-        Err(Error::Unsupported(reason)) if reason.is_symbolic() => {
-            // Normalization needs constant trip counts; retry on the raw
-            // nest, where the per-level emitter computes symbolic strides
-            // at run time.
-            match coalesce_band(nest.cache.nest_ref(), None, &opts) {
-                Ok(result) => result,
-                Err(Error::Unsupported(fallback)) => return Ok(skip(nest, reason, Some(fallback))),
-                Err(other) => return Err(other),
-            }
+        Err(NestError {
+            symbolic,
+            error: Error::Unsupported(reason),
+        }) => {
+            return Ok(match symbolic {
+                Some(first) => skip(nest, first, Some(reason)),
+                None => skip(nest, reason, None),
+            })
         }
-        Err(Error::Unsupported(reason)) => return Ok(skip(nest, reason, None)),
-        Err(other) => return Err(other),
+        Err(NestError { error, .. }) => return Err(error),
     };
     nest.decision = Some(Decision::Coalesced {
         stmts: result.stmts(),
@@ -391,39 +374,6 @@ fn skip(nest: &mut NestState, reason: SkipReason, fallback: Option<SkipReason>) 
         fallback,
     }));
     Skipped { reason }
-}
-
-/// Run the constant-trip-count path with cached analyses. Replicates
-/// `coalesce_loop` = normalize (cached) + `coalesce_band`, injecting the
-/// cached dependence analysis exactly when `coalesce_band` would compute
-/// one (legality checking on, band valid).
-fn constant_path(
-    cache: &mut NestAnalyses,
-    opts: &CoalesceOptions,
-    depth: usize,
-) -> Result<CoalesceResult> {
-    let (s, e) = opts.levels.unwrap_or((0, depth));
-    let valid_band = s < e && e <= depth;
-    if opts.auto_normalize {
-        cache.normalized()?;
-    } else {
-        require_normalized(&cache.nest().loops)?;
-    }
-    let needs_deps = opts.check_legality && valid_band;
-    if needs_deps {
-        cache.deps()?;
-    }
-    let nest: &Nest = if opts.auto_normalize {
-        cache.normalized_ref()
-    } else {
-        cache.nest_ref()
-    };
-    let deps = if needs_deps {
-        Some(cache.deps_ref())
-    } else {
-        None
-    };
-    coalesce_band(nest, deps, opts)
 }
 
 /// Recovery strength reduction reporting.

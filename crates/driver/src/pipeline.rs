@@ -12,6 +12,8 @@ use lc_ir::printer::print_program;
 use lc_ir::program::Program;
 use lc_ir::stmt::Stmt;
 use lc_ir::Result;
+use lc_lint::LintSet;
+use lc_xform::coalesce::CoalesceOptions;
 use lc_xform::validate::check_equivalent;
 
 use crate::batch::{self, BatchItem};
@@ -27,8 +29,9 @@ pub const VALIDATE_SEED: u64 = 0xC0A1E5CE;
 /// The standard pipeline order: analyze → normalize → perfect →
 /// interchange → advise → coalesce → strength-reduce — the static
 /// analyzer first (it sees the nest exactly as written), then the
-/// paper's presentation. Which passes *act* is governed by
-/// [`DriverOptions`]; every pass is still invoked and traced.
+/// paper's presentation. Every pass in the list is invoked and traced;
+/// `analyze`, `advise` and `strength-reduce` no-op unless their
+/// [`DriverOptions`] field enables them.
 pub const DEFAULT_PASS_ORDER: [&str; 7] = [
     "analyze",
     "normalize",
@@ -45,6 +48,7 @@ pub const DEFAULT_PASS_ORDER: [&str; 7] = [
 /// A driver is immutable after construction (passes are stateless), so
 /// one instance can serve many compilations — including concurrently
 /// from [`Driver::compile_batch`] workers.
+#[derive(Debug, Clone)]
 pub struct Driver {
     options: DriverOptions,
     passes: Vec<Pass>,
@@ -85,6 +89,27 @@ impl Driver {
         Ok(Driver { options, passes })
     }
 
+    /// The driver the `loop_coalescing` facade uses to stay
+    /// byte-compatible with the seed `coalesce_source` pipeline: the
+    /// standard order without the structural enabling passes `perfect`
+    /// and `interchange`, and every lint at `allow` (the seed pipeline
+    /// predates the analyzer).
+    pub fn facade_compat(coalesce: CoalesceOptions) -> Self {
+        let options = DriverOptions {
+            coalesce,
+            lints: LintSet::all_allow(),
+            ..DriverOptions::default()
+        };
+        let order = [
+            "analyze",
+            "normalize",
+            "advise",
+            "coalesce",
+            "strength-reduce",
+        ];
+        Driver::with_pipeline(options, &order).expect("every facade pass exists")
+    }
+
     /// Names of the configured pipeline's passes, in order.
     pub fn pass_names(&self) -> Vec<&'static str> {
         self.passes.iter().map(|p| p.name()).collect()
@@ -93,21 +118,6 @@ impl Driver {
     /// The configured options.
     pub fn options(&self) -> &DriverOptions {
         &self.options
-    }
-
-    /// A stable fingerprint of everything that can change a
-    /// compilation's output: the options and the pass list. Two drivers
-    /// with equal fingerprints produce byte-identical results for the
-    /// same source, so the fingerprint (hashed together with the source)
-    /// is a sound compile-cache key — the serving layer builds its
-    /// content-addressed cache on exactly this.
-    ///
-    /// The options part is their `Debug` rendering: every field of
-    /// [`DriverOptions`] and the types it holds derives `Debug`
-    /// structurally, so any field change — including future added
-    /// fields — changes the fingerprint.
-    pub fn fingerprint(&self) -> String {
-        format!("{:?} {:?}", self.options, self.pass_names())
     }
 
     /// Parse DSL source and compile it.

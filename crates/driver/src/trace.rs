@@ -12,8 +12,8 @@ use std::fmt::Write as _;
 
 use lc_ir::{BoundPart, SkipReason, Symbol};
 
-use crate::cache::CacheStats;
 use crate::json::Json;
+use lc_xform::cache::CacheStats;
 
 /// What a pass did to one nest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -262,8 +262,6 @@ pub fn skip_reason_to_json(r: &SkipReason) -> Json {
             ("level", Json::Int(*level as i64)),
             sym("var", var),
         ]),
-        SkipReason::NotDoall { var } => Json::obj(vec![kind("not-doall"), sym("var", var)]),
-        SkipReason::NotDoallUnchecked => Json::obj(vec![kind("not-doall-unchecked")]),
         SkipReason::ScalarReduction { var } => {
             Json::obj(vec![kind("scalar-reduction"), sym("var", var)])
         }
@@ -364,8 +362,6 @@ mod tests {
                 level: 1,
                 var: var.clone(),
             },
-            SkipReason::NotDoall { var: var.clone() },
-            SkipReason::NotDoallUnchecked,
             SkipReason::ScalarReduction { var: var.clone() },
             SkipReason::SymbolicBound {
                 var: var.clone(),

@@ -3,8 +3,10 @@
 
 use lc_driver::json::Json;
 use lc_driver::{Driver, DriverOptions, Skip, TraceOutcome, DEFAULT_PASS_ORDER};
-use lc_ir::{SkipReason, Symbol};
-use lc_xform::coalesce::CoalesceOptions;
+use lc_ir::parser::parse_program;
+use lc_ir::stmt::Stmt;
+use lc_ir::{BoundPart, Error, SkipReason, Symbol};
+use lc_xform::coalesce::{coalesce_loop, CoalesceOptions};
 
 const QUICKSTART: &str = "
     array A[100][50];
@@ -135,7 +137,7 @@ fn symbolic_nests_never_reach_dependence_analysis_twice() {
 #[test]
 fn default_driver_matches_facade_output_on_quickstart() {
     let driver_out = Driver::default().compile(QUICKSTART).unwrap();
-    let compat_out = Driver::new(DriverOptions::facade_compat(CoalesceOptions::default()))
+    let compat_out = Driver::facade_compat(CoalesceOptions::default())
         .compile(QUICKSTART)
         .unwrap();
     assert_eq!(driver_out.transformed_source, compat_out.transformed_source);
@@ -241,19 +243,48 @@ fn batch_surfaces_per_program_errors_in_place() {
 
 #[test]
 fn skips_serialize_and_render_the_seed_messages() {
-    let skip = Skip {
-        nest: 3,
-        reason: SkipReason::SymbolicBounds,
-        fallback: Some(SkipReason::NotDoallUnchecked),
+    // A symbolic upper bound stops normalization; the raw nest then
+    // fails the symbolic path's unit-form check on the offset lower
+    // bound. The skip carries both reasons.
+    let src = "
+        array A[20][20];
+        n = 9;
+        doall i = 2..n {
+            doall j = 1..4 {
+                A[i][j] = i + j;
+            }
+        }
+    ";
+    let i = Symbol::new("i");
+    let out = Driver::default().compile(src).unwrap();
+    let expected = Skip {
+        nest: 1,
+        reason: SkipReason::SymbolicBound {
+            var: i.clone(),
+            part: BoundPart::Upper,
+        },
+        fallback: Some(SkipReason::NotUnitNormalized { var: i.clone() }),
     };
+    assert_eq!(out.skipped, [expected]);
+    let skip = &out.skipped[0];
     assert_eq!(
         skip.to_json().to_string(),
-        r#"{"nest":3,"reason":{"kind":"symbolic-bounds"},"fallback":{"kind":"not-doall-unchecked"}}"#
+        r#"{"nest":1,"reason":{"kind":"symbolic-bound","var":"i","part":"upper"},"fallback":{"kind":"not-unit-normalized","var":"i"}}"#
     );
     assert_eq!(
         skip.to_string(),
-        "nest has symbolic bounds; symbolic fallback: \
-         legality checking disabled and some level is not a doall"
+        "loop `i` has symbolic upper bound; symbolic fallback: \
+         symbolic coalescing requires `1..=U step 1` loops; `i` is not"
+    );
+    // `coalesce_loop` runs the same routing and returns the last
+    // attempt's reason.
+    let program = parse_program(src).unwrap();
+    let Stmt::Loop(nest) = &program.body[1] else {
+        panic!("statement 1 is the nest")
+    };
+    assert_eq!(
+        coalesce_loop(nest, &CoalesceOptions::default()).unwrap_err(),
+        Error::Unsupported(SkipReason::NotUnitNormalized { var: i })
     );
     let plain = Skip {
         nest: 0,
@@ -450,7 +481,7 @@ fn perfection_pass_enables_coalescing_of_imperfect_nests() {
     ";
     // Facade-compat sees only the trivial depth-1 nest (extraction stops
     // at the prologue statement) — 6 iterations, nothing gained.
-    let compat = Driver::new(DriverOptions::facade_compat(CoalesceOptions::default()))
+    let compat = Driver::facade_compat(CoalesceOptions::default())
         .compile(src)
         .unwrap();
     assert_eq!(compat.coalesced.len(), 1);
@@ -640,8 +671,7 @@ fn custom_pass_order_is_honored() {
 #[test]
 fn unknown_pass_name_is_reported() {
     let err = Driver::with_pipeline(DriverOptions::default(), &["coalesce", "optimize"])
-        .err()
-        .expect("unknown name must be rejected");
+        .expect_err("unknown name must be rejected");
     assert!(err.contains("optimize"), "{err}");
     assert!(
         err.contains("coalesce"),
@@ -657,20 +687,6 @@ fn every_default_pass_name_resolves() {
         assert_eq!(driver.pass_names(), [name]);
     }
     assert!(Driver::with_pipeline(DriverOptions::default(), &["no-such-pass"]).is_err());
-}
-
-#[test]
-fn fingerprint_covers_the_pass_list() {
-    let only_coalesce = Driver::with_pipeline(DriverOptions::default(), &["coalesce"]).unwrap();
-    let standard = Driver::new(DriverOptions::default());
-    assert_ne!(only_coalesce.fingerprint(), standard.fingerprint());
-    // Equal configuration, equal fingerprint: a sound cache key.
-    assert_eq!(Driver::default().fingerprint(), standard.fingerprint());
-    let no_validate = Driver::new(DriverOptions {
-        validate: false,
-        ..Default::default()
-    });
-    assert_ne!(no_validate.fingerprint(), standard.fingerprint());
 }
 
 #[test]

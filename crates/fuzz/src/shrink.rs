@@ -214,15 +214,11 @@ fn fuzz_regression_{name}() {{
 {source}"#;
     let coalesce = lc_xform::coalesce::CoalesceOptions::builder()
         .scheme(lc_xform::recovery::RecoveryScheme::{scheme:?})
-        .check_legality({check_legality})
         .levels_opt({levels:?})
-        .auto_normalize({auto_normalize})
         .strength_reduce({strength_reduce})
         .build();
     let options = lc_driver::DriverOptions {{
         coalesce,
-        enable_perfection: {enable_perfection},
-        enable_interchange: {enable_interchange},
         validate: false,
         advise: None,
         validate_each_pass: {validate_each_pass},
@@ -239,12 +235,8 @@ fn fuzz_regression_{name}() {{
 }}
 "##,
         scheme = c.scheme,
-        check_legality = c.check_legality,
         levels = c.levels,
-        auto_normalize = c.auto_normalize,
         strength_reduce = c.strength_reduce,
-        enable_perfection = options.enable_perfection,
-        enable_interchange = options.enable_interchange,
         validate_each_pass = options.validate_each_pass,
     )
 }

@@ -103,13 +103,6 @@ pub enum SkipReason {
         /// Loop variable of that level.
         var: Symbol,
     },
-    /// A banded level is not a `doall` and legality checking is off.
-    NotDoall {
-        /// Loop variable of the offending level.
-        var: Symbol,
-    },
-    /// Symbolic path: legality checking is off and some level is serial.
-    NotDoallUnchecked,
     /// A scalar may carry a value across iterations (e.g. a reduction),
     /// so it cannot be privatized.
     ScalarReduction {
@@ -207,14 +200,6 @@ impl fmt::Display for SkipReason {
             SkipReason::CarriedDependence { var, .. } => {
                 write!(f, "dependence carried at level `{var}` forbids coalescing")
             }
-            SkipReason::NotDoall { var } => write!(
-                f,
-                "level `{var}` is not a doall and legality checking is disabled"
-            ),
-            SkipReason::NotDoallUnchecked => write!(
-                f,
-                "legality checking disabled and some level is not a doall"
-            ),
             SkipReason::ScalarReduction { var } => write!(
                 f,
                 "scalar `{var}` may be read before it is written within an \

@@ -4,7 +4,7 @@
 use lc_sched::policy::Chunk;
 use lc_space::{recover_divmod_into, total_iterations, Odometer};
 
-use crate::parallel::{parallel_for, self_schedule, RuntimeOptions};
+use crate::parallel::{self_schedule, RuntimeOptions};
 use crate::stats::RunStats;
 
 /// Execute a rectangular nest as a single **coalesced** parallel loop.
@@ -52,19 +52,22 @@ where
     assert!(!dims.is_empty());
     let inner_dims = &dims[1..];
     let inner_n = total_iterations(inner_dims).expect("iteration count overflows");
-    parallel_for(dims[0], opts, |i0| {
-        // The empty product is 1, so a depth-1 nest runs the body once per
-        // outer iteration with just `[i0]` as the index vector.
-        let mut iv = Vec::with_capacity(dims.len());
-        let mut odo = Odometer::new(inner_dims);
-        for _ in 0..inner_n {
+    // One index buffer per worker, reset for each claimed outer iteration.
+    let run_chunk = |mut iv: Vec<i64>, chunk: Chunk| {
+        for i0 in chunk.start..chunk.end() {
             iv.clear();
             iv.push(i0 as i64 + 1);
-            iv.extend_from_slice(odo.indices());
-            body(&iv);
-            odo.advance();
+            iv.resize(dims.len(), 1);
+            // The empty product is 1, so a depth-1 nest runs the body once
+            // per outer iteration with just `[i0]` as the index vector.
+            for _ in 0..inner_n {
+                body(&iv);
+                advance(&mut iv[1..], inner_dims);
+            }
         }
-    })
+        iv
+    };
+    self_schedule(dims[0], opts, Vec::new, run_chunk).0
 }
 
 /// Execute the nest with the **innermost** loop parallel and everything

@@ -9,7 +9,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use lc_runtime::{coalesced_for, inner_sweep_for, RuntimeOptions};
+use lc_runtime::{coalesced_for, inner_sweep_for, outer_for, RuntimeOptions};
 use lc_sched::policy::PolicyKind;
 
 struct Counting;
@@ -71,5 +71,18 @@ fn dispatch_does_not_allocate_per_chunk_or_iteration() {
     assert!(
         large < small + 64,
         "inner_sweep_for allocations grew with inner iterations: {small} at [8, 64], {large} at [8, 512]"
+    );
+
+    // One fork/join either way: the count may not grow with the outer
+    // iterations each worker claims.
+    let small = allocations(|| {
+        outer_for(&[64, 8], &ss, |iv| assert_eq!(iv.len(), 2));
+    });
+    let large = allocations(|| {
+        outer_for(&[512, 8], &ss, |iv| assert_eq!(iv.len(), 2));
+    });
+    assert!(
+        large < small + 64,
+        "outer_for allocations grew with outer iterations: {small} at [64, 8], {large} at [512, 8]"
     );
 }

@@ -10,7 +10,6 @@
 //! from a supervisor gives the same lifecycle hook). Either way it
 //! drains: queued compiles finish, new work is refused with 503.
 
-use std::io::Read;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -84,10 +83,10 @@ fn main() -> ExitCode {
     // Drain when stdin closes, so `lc-serve < /dev/null` exits once idle
     // and a supervisor can stop us by closing the pipe. `POST /shutdown`
     // is the other path; either way `join` below returns once drained.
+    // Whatever arrives on stdin is discarded as it comes, never buffered.
     let shutdown_addr = server.addr();
     std::thread::spawn(move || {
-        let mut sink = Vec::new();
-        let _ = std::io::stdin().read_to_end(&mut sink);
+        let _ = std::io::copy(&mut std::io::stdin(), &mut std::io::sink());
         eprintln!("lc-serve: stdin closed, draining");
         let _ = lc_service::client::post(shutdown_addr, "/shutdown", b"", Duration::from_secs(5));
     });

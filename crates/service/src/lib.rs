@@ -3,7 +3,7 @@
 //! The workspace builds fully offline, so the serving layer is built
 //! from the standard library up: a hand-rolled HTTP/1.1 subset
 //! ([`http`]), a bounded job queue with explicit load shedding
-//! ([`queue`]), a sharded content-addressed LRU compile cache
+//! ([`queue`]), a sharded LRU compile cache keyed on source text
 //! ([`cache`]), lock-free metrics with a log-linear latency histogram
 //! ([`metrics`]), and the server itself ([`server`]) — a fixed pool of
 //! compile workers sharing one [`lc_driver::Driver`].
@@ -21,8 +21,8 @@
 //!
 //! # Semantics worth knowing
 //!
-//! * **Caching** — `/compile` responses are cached by FNV-1a over the
-//!   driver fingerprint (options plus pass list) and the source text. Hits are answered
+//! * **Caching** — `/compile` responses are cached by their source text
+//!   (the server's driver is fixed for its lifetime). Hits are answered
 //!   on the connection thread (never touching queue or workers) and are
 //!   byte-identical to the originally rendered body; `X-Cache: hit|miss`
 //!   says which path a response took.

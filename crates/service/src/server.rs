@@ -30,9 +30,9 @@ use std::time::{Duration, Instant};
 
 use lc_driver::json::Json;
 use lc_driver::trace::finding_to_json;
-use lc_driver::{Driver, DriverOptions, DriverOutput};
+use lc_driver::{Driver, DriverOutput};
 
-use crate::cache::{fnv1a, ShardedLru};
+use crate::cache::ShardedLru;
 use crate::http::{read_request, ReadError, Request, Response};
 use crate::metrics::Metrics;
 use crate::queue::{BoundedQueue, PushError};
@@ -54,9 +54,10 @@ pub struct ServiceConfig {
     pub default_deadline: Duration,
     /// Socket read timeout (maps to `408`).
     pub read_timeout: Duration,
-    /// Driver configuration; part of the cache key via
-    /// [`Driver::fingerprint`].
-    pub driver: DriverOptions,
+    /// The driver every compile runs: its options and its pass list. It
+    /// is fixed for the server's lifetime, so the cache is keyed on the
+    /// source text alone.
+    pub driver: Driver,
     /// Test hook: make every worker sleep this long per job, so tests
     /// can fill the queue and expire deadlines deterministically.
     pub synthetic_delay: Option<Duration>,
@@ -72,14 +73,14 @@ impl Default for ServiceConfig {
             max_body_bytes: 1024 * 1024,
             default_deadline: Duration::from_secs(10),
             read_timeout: Duration::from_secs(10),
-            driver: DriverOptions::default(),
+            driver: Driver::default(),
             synthetic_delay: None,
         }
     }
 }
 
 enum JobKind {
-    Compile { key: u64, source: String },
+    Compile { source: String },
     Batch { sources: Vec<String> },
 }
 
@@ -91,8 +92,6 @@ struct Job {
 
 struct Shared {
     config: ServiceConfig,
-    driver: Driver,
-    fingerprint: String,
     cache: ShardedLru<Vec<u8>>,
     queue: BoundedQueue<Job>,
     metrics: Metrics,
@@ -114,8 +113,6 @@ impl Server {
     pub fn start(config: ServiceConfig, bind_addr: &str) -> std::io::Result<Server> {
         let listener = TcpListener::bind(bind_addr)?;
         let addr = listener.local_addr()?;
-        let driver = Driver::new(config.driver.clone());
-        let fingerprint = driver.fingerprint();
         let shared = Arc::new(Shared {
             cache: ShardedLru::new(config.cache_capacity, config.cache_shards),
             queue: BoundedQueue::new(config.queue_capacity),
@@ -123,8 +120,6 @@ impl Server {
             draining: AtomicBool::new(false),
             active_conns: AtomicUsize::new(0),
             addr,
-            driver,
-            fingerprint,
             config,
         });
 
@@ -362,8 +357,7 @@ fn handle_compile(shared: &Shared, req: Request) -> Response {
     if source.trim().is_empty() {
         return Response::error(422, "empty program");
     }
-    let key = cache_key(&shared.fingerprint, &source);
-    if let Some(body) = shared.cache.get(key) {
+    if let Some(body) = shared.cache.get(&source) {
         // Byte-identical to the miss path: the cached value *is* the
         // body the worker rendered.
         return Response {
@@ -373,7 +367,7 @@ fn handle_compile(shared: &Shared, req: Request) -> Response {
         }
         .with_header("x-cache", "hit");
     }
-    run_job(shared, JobKind::Compile { key, source }, deadline)
+    run_job(shared, JobKind::Compile { source }, deadline)
 }
 
 fn handle_batch(shared: &Shared, req: Request) -> Response {
@@ -413,7 +407,7 @@ fn handle_batch(shared: &Shared, req: Request) -> Response {
 /// validation), so it is answered directly on the connection thread —
 /// it never consumes a queue slot or a worker, and keeps working while
 /// the compile queue is saturated or draining. The lint severities are
-/// the configured driver's ([`DriverOptions::lints`]).
+/// the configured driver's ([`lc_driver::DriverOptions::lints`]).
 fn handle_analyze(shared: &Shared, req: Request) -> Response {
     shared
         .metrics
@@ -425,7 +419,7 @@ fn handle_analyze(shared: &Shared, req: Request) -> Response {
     if source.trim().is_empty() {
         return Response::error(422, "empty program");
     }
-    let set = &shared.config.driver.lints;
+    let set = &shared.config.driver.options().lints;
     match catch_unwind(AssertUnwindSafe(|| lc_lint::lint_source(&source, set))) {
         Ok(Ok(findings)) => {
             let denied = findings
@@ -457,17 +451,6 @@ fn handle_analyze(shared: &Shared, req: Request) -> Response {
     }
 }
 
-/// FNV key over the driver fingerprint and the source text, with a
-/// separator byte that cannot occur inside UTF-8 text so the two parts
-/// cannot alias.
-fn cache_key(fingerprint: &str, source: &str) -> u64 {
-    let mut bytes = Vec::with_capacity(fingerprint.len() + source.len() + 1);
-    bytes.extend_from_slice(fingerprint.as_bytes());
-    bytes.push(0xFF);
-    bytes.extend_from_slice(source.as_bytes());
-    fnv1a(&bytes)
-}
-
 fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
         if Instant::now() > job.deadline {
@@ -483,7 +466,7 @@ fn worker_loop(shared: &Shared) {
         }
         shared.metrics.workers_busy.fetch_add(1, Ordering::Relaxed);
         let response = match job.kind {
-            JobKind::Compile { key, source } => compile_job(shared, key, &source),
+            JobKind::Compile { source } => compile_job(shared, source),
             JobKind::Batch { sources } => batch_job(shared, &sources),
         };
         shared.metrics.workers_busy.fetch_sub(1, Ordering::Relaxed);
@@ -495,11 +478,11 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-fn compile_job(shared: &Shared, key: u64, source: &str) -> Response {
-    match catch_unwind(AssertUnwindSafe(|| shared.driver.compile(source))) {
+fn compile_job(shared: &Shared, source: String) -> Response {
+    match catch_unwind(AssertUnwindSafe(|| shared.config.driver.compile(&source))) {
         Ok(Ok(out)) => {
             let body = output_json(&out).to_string().into_bytes();
-            shared.cache.insert(key, body.clone());
+            shared.cache.insert(source, body.clone());
             Response {
                 status: 200,
                 headers: vec![("content-type".to_string(), "application/json".to_string())],
@@ -518,7 +501,7 @@ fn compile_job(shared: &Shared, key: u64, source: &str) -> Response {
 fn batch_job(shared: &Shared, sources: &[String]) -> Response {
     // `compile_batch` already converts per-item panics into per-item
     // errors and times each item.
-    let items = shared.driver.compile_batch(sources);
+    let items = shared.config.driver.compile_batch(sources);
     let rendered: Vec<Json> = items
         .iter()
         .map(|item| match &item.result {

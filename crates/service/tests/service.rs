@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use lc_driver::json::Json;
-use lc_driver::DriverOptions;
+use lc_driver::Driver;
 use lc_service::client;
 use lc_service::corpus::corpus72;
 use lc_service::loadgen::{run as loadgen_run, LoadTarget, LoadgenConfig};
@@ -28,7 +28,7 @@ doall i = 1..6 {
 /// `loop_coalescing::coalesce_source` runs).
 fn facade_server(config: impl FnOnce(&mut ServiceConfig)) -> Server {
     let mut cfg = ServiceConfig {
-        driver: DriverOptions::facade_compat(CoalesceOptions::default()),
+        driver: Driver::facade_compat(CoalesceOptions::default()),
         workers: 2,
         ..ServiceConfig::default()
     };

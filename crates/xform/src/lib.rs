@@ -9,12 +9,16 @@
 //!   the paper's ceiling-division formula, the conventional div/mod
 //!   mapping, and an incremental (odometer) scheme, plus generators that
 //!   emit the corresponding IR expressions and their abstract op costs.
+//! * [`cache`] — per-nest memoization of nest extraction, normalization
+//!   and dependence analysis, with hit/miss counters.
 //! * [`normalize`] — rewrites `lo..hi step s` loops into the `1..=N` unit-
 //!   step form the recovery formulas assume.
 //! * [`coalesce`] — the transformation: full or partial collapse of a
 //!   perfect nest, with legality checking (DOALL-ness via `lc-ir`'s
-//!   dependence analysis plus a scalar-privatization check). One entry
-//!   point handles compile-time and runtime trip counts, choosing the
+//!   dependence analysis plus a scalar-privatization check, always on).
+//!   One function, [`coalesce::coalesce_nest`], routes a nest: the
+//!   normalized form, or the raw nest when a bound is symbolic. One band
+//!   emitter handles compile-time and runtime trip counts, choosing the
 //!   recovery form per level: constant strides stay literals, symbolic
 //!   stride products become scalar computations ahead of the loop.
 //! * [`interchange`] — swaps two adjacent levels to move a parallel loop
@@ -54,6 +58,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod cache;
 pub mod coalesce;
 pub mod interchange;
 pub mod normalize;
@@ -62,5 +67,7 @@ pub mod recovery;
 pub mod strength;
 pub mod validate;
 
-pub use coalesce::{coalesce_band, coalesce_loop, CoalesceInfo, CoalesceOptions, CoalesceResult};
+pub use coalesce::{
+    coalesce_band, coalesce_loop, coalesce_nest, CoalesceInfo, CoalesceOptions, CoalesceResult,
+};
 pub use recovery::{Odometer, RecoveryScheme};

@@ -7,7 +7,7 @@
 //! bounds would need runtime trip-count computation, which the simulator
 //! models but the IR transformation does not emit).
 
-use lc_ir::analysis::nest::{LoopHeader, Nest};
+use lc_ir::analysis::nest::Nest;
 use lc_ir::expr::Expr;
 use lc_ir::stmt::{Loop, Stmt};
 use lc_ir::{BoundPart, Error, Result, SkipReason};
@@ -83,18 +83,6 @@ fn normalize_levels(l: &Loop, remaining: usize) -> Result<Loop> {
         }
     }
     Ok(out)
-}
-
-/// Check that every header of a nest is normalized; error otherwise.
-pub fn require_normalized(headers: &[LoopHeader]) -> Result<()> {
-    for h in headers {
-        if !h.is_normalized() {
-            return Err(Error::Unsupported(SkipReason::NotNormalized {
-                var: h.var.clone(),
-            }));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -272,28 +260,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(normalize_loop(&loop_of(&p)).unwrap_err(), Error::Overflow);
-    }
-
-    #[test]
-    fn require_normalized_reports_offender() {
-        let p = parse_program(
-            "
-            array A[10][10];
-            doall i = 1..10 {
-                doall j = 2..10 {
-                    A[i][j] = 1;
-                }
-            }
-            ",
-        )
-        .unwrap();
-        let nest = extract_nest(&loop_of(&p));
-        let err = require_normalized(&nest.loops).unwrap_err();
-        match err {
-            Error::Unsupported(m) => {
-                assert!(m.to_string().contains('j'), "{m}")
-            }
-            other => panic!("{other:?}"),
-        }
     }
 }

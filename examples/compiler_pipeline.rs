@@ -8,7 +8,7 @@
 //! ```
 
 use loop_coalescing::driver::json::Json;
-use loop_coalescing::driver::{Driver, DriverOptions};
+use loop_coalescing::driver::Driver;
 use loop_coalescing::xform::coalesce::CoalesceOptions;
 
 fn main() {
@@ -72,10 +72,10 @@ fn main() {
 
     // ── 3. facade-compatible mode ───────────────────────────────────────
     //
-    // DriverOptions::facade_compat reproduces the seed `coalesce_source`
+    // Driver::facade_compat reproduces the seed `coalesce_source`
     // pipeline byte for byte: coalesce + validate only, no structural
-    // enabling passes.
-    let compat = Driver::new(DriverOptions::facade_compat(CoalesceOptions::default()))
+    // enabling passes in its pass list.
+    let compat = Driver::facade_compat(CoalesceOptions::default())
         .compile(src)
         .unwrap();
     println!(

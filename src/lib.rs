@@ -16,15 +16,15 @@
 //! | layer | crate | contents |
 //! |---|---|---|
 //! | IR | [`ir`] | loop-nest IR, DSL parser, interpreter, dependence analysis |
-//! | transformation | [`xform`] | coalescing, normalization, interchange, nest perfection, recovery CSE |
-//! | driver | [`driver`] | one `Driver` running the pass pipeline over every nest, with traces, typed skips and batch compilation |
+//! | transformation | [`xform`] | coalescing (one routing function, `coalesce_nest`, over a per-nest analysis cache), normalization, interchange, nest perfection, recovery CSE |
+//! | driver | [`driver`] | one `Driver` running its pass list over every nest, with traces, typed skips and batch compilation |
 //! | iteration space | [`space`] | strides, linearization, index recovery, odometer |
 //! | scheduling | [`sched`] | SS / CSS / GSS / TSS / factoring policies, dispatch counts, schedule-length bounds |
 //! | machine | [`machine`] | deterministic multiprocessor simulator with fetch&add cost model |
 //! | runtime | [`runtime`] | real-thread coalesced executor (CAS dispatch on a shared `AtomicU64`) |
 //! | workloads | [`workloads`] | kernels (matmul, Gauss–Jordan, stencil, π) and cost models |
 //! | static analysis | `lc-lint` | LC001–LC005 race and legality lints, run by the driver's `analyze` pass |
-//! | serving | `lc-service` | the `lc-serve` compile server over one shared `Driver` |
+//! | serving | `lc-service` | the `lc-serve` compile server over one shared `Driver`, caching by source text |
 //! | fuzzing | `lc-fuzz` | differential fuzzer: seeded generator, interpreter oracle, shrinker |
 //!
 //! # Quickstart
@@ -58,7 +58,7 @@ pub use lc_space as space;
 pub use lc_workloads as workloads;
 pub use lc_xform as xform;
 
-use lc_driver::{Driver, DriverOptions};
+use lc_driver::Driver;
 use lc_ir::program::Program;
 use lc_ir::{Error, Result, SkipReason};
 use lc_xform::coalesce::{coalesce_loop, CoalesceInfo, CoalesceOptions};
@@ -93,8 +93,8 @@ pub struct PipelineResult {
 /// [`PipelineResult::skipped`] — the pipeline never fails on a legal
 /// program just because a loop is not transformable.
 ///
-/// This is a thin wrapper over [`lc_driver::Driver`] in its
-/// facade-compatible configuration; use the driver directly for the
+/// This is a thin wrapper over [`lc_driver::Driver::facade_compat`];
+/// use the driver directly for the
 /// per-pass trace, cache counters, enabling passes (perfection,
 /// interchange, analytic band advice), and parallel batch compilation.
 pub fn coalesce_source(src: &str) -> Result<PipelineResult> {
@@ -104,7 +104,7 @@ pub fn coalesce_source(src: &str) -> Result<PipelineResult> {
 /// [`coalesce_source`] with explicit options. `options.levels` applies to
 /// every nest (use the lower-level API for per-nest bands).
 pub fn coalesce_source_with(src: &str, options: &CoalesceOptions) -> Result<PipelineResult> {
-    let driver = Driver::new(DriverOptions::facade_compat(options.clone()));
+    let driver = Driver::facade_compat(options.clone());
     let out = driver.compile(src)?;
     Ok(PipelineResult {
         transformed: out.transformed,

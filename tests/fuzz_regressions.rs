@@ -39,15 +39,11 @@ doall i = 1..1 {
 "#;
     let coalesce = lc_xform::coalesce::CoalesceOptions::builder()
         .scheme(lc_xform::recovery::RecoveryScheme::Ceiling)
-        .check_legality(true)
         .levels_opt(None)
-        .auto_normalize(true)
         .strength_reduce(true)
         .build();
     let options = lc_driver::DriverOptions {
         coalesce,
-        enable_perfection: false,
-        enable_interchange: true,
         validate: false,
         advise: None,
         validate_each_pass: false,
@@ -55,7 +51,7 @@ doall i = 1..1 {
     };
     let divergence = lc_fuzz::oracle::check_source(
         src,
-        &["coalesce", "normalize", "perfect", "interchange"],
+        &["coalesce", "normalize", "interchange"],
         &options,
         0xdfe42d8be2cd69a8,
         true,
